@@ -6,9 +6,9 @@
 // Compares gated vs exhaustive enumeration, and triage on vs off, on
 // programs engineered to stress each mechanism.
 //
-// Also the home of the oracle-acceleration ablation: every layer of the
-// acceleration stack (prefix checkpoint, verdict cache, parallel batch)
-// toggled independently over the Figure-7 corpus, verifying that each
+// Also the home of the oracle-acceleration ablation: both layers of the
+// acceleration stack (prefix checkpoint, verdict cache) toggled
+// independently over the Figure-7 corpus, verifying that each
 // configuration reproduces the unaccelerated searches exactly (same
 // ranked suggestions, same logical-call counts) while measuring the
 // wall-clock and inference-run savings. --json=<path> emits the summary
@@ -98,20 +98,19 @@ void runAccelAblation(const DriverOptions &Driver) {
   Corpus C = generateCorpus(CO);
 
   OracleAccelOptions Off;
-  Off.Checkpoint = Off.VerdictCache = Off.ParallelBatch = false;
+  Off.Checkpoint = Off.VerdictCache = false;
   OracleAccelOptions CheckpointOnly = Off;
   CheckpointOnly.Checkpoint = true;
   OracleAccelOptions CacheOnly = Off;
   CacheOnly.VerdictCache = true;
   OracleAccelOptions Both;
   Both.Checkpoint = Both.VerdictCache = true;
-  OracleAccelOptions All = Both;
-  All.ParallelBatch = true;
 
   std::vector<AccelRow> Rows = {
-      {"acceleration off", Off},  {"checkpoint only", CheckpointOnly},
-      {"cache only", CacheOnly},  {"checkpoint + cache", Both},
-      {"all + parallel batch", All},
+      {"acceleration off", Off},
+      {"checkpoint only", CheckpointOnly},
+      {"cache only", CacheOnly},
+      {"checkpoint + cache", Both},
   };
 
   // Baseline fingerprints come from the acceleration-off configuration.
@@ -174,17 +173,14 @@ void runAccelAblation(const DriverOptions &Driver) {
                 &Row == &Base ? "(base)" : Identical ? "yes" : "NO");
   }
   rule();
-  // "Acceleration on" is the shipped default (checkpoint + cache;
-  // parallel batching stays opt-in), so the headline compares that row.
+  // "Acceleration on" is the shipped default (checkpoint + cache), so the
+  // headline compares that row.
   const AccelRow &Full = Rows[3];
-  const AccelRow &Par = Rows.back();
   double Speedup = Full.WallSec > 0.0 ? Base.WallSec / Full.WallSec : 0.0;
   std::printf("acceleration speedup: %.2fx wall-clock per search "
-              "(%.3f -> %.3f ms/file; all layers incl. parallel batch: "
-              "%.2fx)\n",
+              "(%.3f -> %.3f ms/file)\n",
               Speedup, Base.WallSec * 1000.0 / double(C.Analyzed.size()),
-              Full.WallSec * 1000.0 / double(C.Analyzed.size()),
-              Par.WallSec > 0.0 ? Base.WallSec / Par.WallSec : 0.0);
+              Full.WallSec * 1000.0 / double(C.Analyzed.size()));
   std::printf("checkpoint+cache: %zu of %zu logical calls actually ran "
               "inference (%.1f%%); %llu prefix decl re-checks saved\n",
               Full.InferenceRuns, Full.LogicalCalls,
@@ -205,8 +201,6 @@ void runAccelAblation(const DriverOptions &Driver) {
                  C.Analyzed.size(), Driver.Scale,
                  (unsigned long long)Driver.Seed);
     std::fprintf(F, "  \"speedup_wall\": %.4f,\n", Speedup);
-    std::fprintf(F, "  \"speedup_wall_parallel\": %.4f,\n",
-                 Par.WallSec > 0.0 ? Base.WallSec / Par.WallSec : 0.0);
     std::fprintf(F, "  \"configs\": [\n");
     for (size_t I = 0; I < Rows.size(); ++I) {
       const AccelRow &Row = Rows[I];
@@ -215,7 +209,7 @@ void runAccelAblation(const DriverOptions &Driver) {
           "    {\"name\": \"%s\", \"wall_ms\": %.3f, \"logical_calls\": "
           "%zu, \"inference_runs\": %zu, \"cache_hits\": %llu, "
           "\"cache_misses\": %llu, \"incremental\": %llu, \"full\": %llu, "
-          "\"decl_rechecks_saved\": %llu, \"batches\": %llu, "
+          "\"decl_rechecks_saved\": %llu, "
           "\"suggestion_mismatches\": %zu, \"call_count_mismatches\": "
           "%zu}%s\n",
           Row.Name, Row.WallSec * 1000.0, Row.LogicalCalls,
@@ -224,7 +218,6 @@ void runAccelAblation(const DriverOptions &Driver) {
           (unsigned long long)Row.Counters.IncrementalInferences,
           (unsigned long long)Row.Counters.FullInferences,
           (unsigned long long)Row.Counters.DeclInferencesSaved,
-          (unsigned long long)Row.Counters.BatchesDispatched,
           Row.SuggestionMismatches, Row.CallCountMismatches,
           I + 1 < Rows.size() ? "," : "");
     }

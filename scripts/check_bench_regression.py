@@ -17,15 +17,13 @@ oracle_calls_accel (bench_oracle_calls):
     regressed.
 
 micro_allocs (bench_micro --json):
-  * The candidate-wave allocation reduction (legacy vs arena pipeline,
-    measured in the same process by the counting operator-new
-    interposer) must stay above the hard 10x floor and above
-    REGRESSION_FRACTION of the baseline's ratio.
-  * The arena scenarios' absolute allocation counts are deterministic
-    for a given libstdc++, but not across toolchains, so they are gated
-    with a 1.25x tolerance rather than exact equality: enough slack for
-    container implementation drift, tight enough to catch reintroduced
-    per-candidate clone traffic.
+  * Each scenario's allocation count (the candidate waves through the
+    searcher's serial typechecks path, and one whole search, counted by
+    the operator-new interposer) must stay under its ceiling. The counts
+    are deterministic for a given libstdc++, but not across toolchains,
+    so the ceiling is 1.25x the baseline rather than exact equality:
+    enough slack for container implementation drift, tight enough to
+    catch reintroduced per-candidate clone traffic.
 
 slice_ablation (bench_slice_ablation):
   * slice-guided must have produced byte-identical suggestion lists to
@@ -104,7 +102,6 @@ def check_oracle_calls(base, fresh):
     return failures
 
 
-ALLOC_HARD_FLOOR = 10.0     # absolute floor on the candidate-wave ratio
 ALLOC_COUNT_TOLERANCE = 1.25  # per-scenario alloc-count drift allowance
 
 
@@ -127,14 +124,7 @@ def check_micro_allocs(base, fresh):
                 f"[{name}] allocs {allocs} exceeds {ceiling:.0f} "
                 f"({ALLOC_COUNT_TOLERANCE}x baseline "
                 f"{base_rows[name]['allocs']})")
-
-    base_ratio = base.get("alloc_reduction", 0.0)
-    fresh_ratio = fresh.get("alloc_reduction", 0.0)
-    floor = max(ALLOC_HARD_FLOOR, base_ratio * REGRESSION_FRACTION)
-    check_floor(failures, "alloc_reduction", fresh_ratio, floor,
-                "arena pipeline lost its copy-free property")
-    print(f"baseline alloc reduction {base_ratio:.1f}x, fresh "
-          f"{fresh_ratio:.1f}x (floor {floor:.1f}x)")
+        print(f"[{name}] allocs {allocs} (ceiling {ceiling:.0f})")
     return failures
 
 

@@ -72,7 +72,7 @@ public:
   /// probe without the call.
   bool candidateDoomed(const caml::Expr &Orig, const caml::Expr &Repl) const;
 
-  /// Overlay-spine variant of candidateDoomed: \p OrigId / \p ReplId are
+  /// Interned-id variant of candidateDoomed: \p OrigId / \p ReplId are
   /// the two trees' interned ids in \p Arena. Identical subtrees compare
   /// as one integer, so the walk visits only the edit spine where the
   /// trees actually differ instead of re-diffing shared structure.

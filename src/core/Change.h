@@ -161,7 +161,7 @@ struct Suggestion {
 
   /// The whole modified program (for triage: includes sibling wildcards,
   /// so it need not type-check by itself). Used by the evaluation judge;
-  /// stored as arena overlays and materialized only when read.
+  /// stored as interned arena ids and materialized only when read.
   LazyProgram Modified;
 
   Suggestion() = default;

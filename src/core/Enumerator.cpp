@@ -84,8 +84,8 @@ std::vector<CandidateChange> emitTuplePermutations(const Expr &Node,
 }
 
 /// A thunk that rebuilds \p Node on demand for a deferred follow-up
-/// family. With an arena the closure captures the overlay spine (shared
-/// arena + interned id) and materializes only if the family actually
+/// family. With an arena the closure captures the node's interned id
+/// (shared arena + id) and materializes only if the family actually
 /// fires; without one it falls back to owning a clone for its lifetime.
 std::function<std::vector<CandidateChange>()>
 deferredFamily(const Expr &Node, const EnumeratorOptions &Opts,

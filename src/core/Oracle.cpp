@@ -19,10 +19,8 @@ Oracle::~Oracle() = default;
 // layer that issued it (TraceLayerScope), the verdict, the cache-hit
 // flag, and which acceleration layer served it.
 
-bool Oracle::typecheckOneTraced(const Program &Prog, uint64_t ParentSpan) {
+bool Oracle::typechecksTraced(const Program &Prog) {
   TraceSpan Span(TraceOut, SpanKind::OracleCall, "oracle.typecheck");
-  if (ParentSpan)
-    Span.setParent(ParentSpan);
   LastServedBy = "full-inference";
   LastCacheHit = false;
   auto Start = std::chrono::steady_clock::now();
@@ -40,10 +38,6 @@ bool Oracle::typecheckOneTraced(const Program &Prog, uint64_t ParentSpan) {
   if (MetricsOut)
     MetricsOut->observe(metric::OracleLatencyUs, Us);
   return Verdict;
-}
-
-bool Oracle::typechecksTraced(const Program &Prog) {
-  return typecheckOneTraced(Prog, /*ParentSpan=*/0);
 }
 
 std::optional<std::string> Oracle::typeOfNodeTraced(const Program &Prog,
@@ -67,51 +61,6 @@ std::optional<std::string> Oracle::typeOfNodeTraced(const Program &Prog,
   if (MetricsOut)
     MetricsOut->observe(metric::OracleLatencyUs, Us);
   return Result;
-}
-
-std::vector<bool>
-Oracle::typecheckBatchTraced(const Program &Base, const NodePath &Path,
-                             const std::vector<const Expr *> &Replacements) {
-  TraceSpan Span(TraceOut, SpanKind::OracleBatch, "oracle.batch");
-  if (Span.enabled()) {
-    Span.attr("layer", traceCurrentLayer());
-    Span.attr("items", int64_t(Replacements.size()));
-    Span.attr("path", Path.str());
-  }
-  if (MetricsOut)
-    MetricsOut->observe(metric::BatchItems, double(Replacements.size()));
-  BatchSpanId = Span.id();
-  LastWaveCollapsed = 0;
-  std::vector<bool> Verdicts = typecheckBatchImpl(Base, Path, Replacements);
-  BatchSpanId = 0;
-  if (Span.enabled() && LastArenaNodes) {
-    Span.attr("dedup.wave_collapsed", int64_t(LastWaveCollapsed));
-    Span.attr("arena.nodes", int64_t(LastArenaNodes));
-    Span.attr("arena.hits", int64_t(LastArenaHits));
-    Span.attr("arena.bytes", int64_t(LastArenaBytes));
-  }
-  if (MetricsOut && LastArenaNodes) {
-    MetricsOut->observe(metric::WaveCollapsed, double(LastWaveCollapsed));
-    MetricsOut->observe(metric::ArenaNodes, double(LastArenaNodes));
-    MetricsOut->observe(metric::ArenaHits, double(LastArenaHits));
-    MetricsOut->observe(metric::ArenaBytes, double(LastArenaBytes));
-  }
-  return Verdicts;
-}
-
-std::vector<bool>
-Oracle::typecheckBatchImpl(const Program &Base, const NodePath &Path,
-                           const std::vector<const Expr *> &Replacements) {
-  bool Traced = TraceOut || MetricsOut;
-  std::vector<bool> Verdicts;
-  Verdicts.reserve(Replacements.size());
-  for (const Expr *Replacement : Replacements) {
-    Program Variant = Base.clone();
-    replaceAtPath(Variant, Path, Replacement->clone());
-    Verdicts.push_back(Traced ? typecheckOneTraced(Variant, BatchSpanId)
-                              : typecheckImpl(Variant));
-  }
-  return Verdicts;
 }
 
 bool CamlOracle::typecheckImpl(const Program &Prog) {

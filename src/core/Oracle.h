@@ -16,8 +16,8 @@
 ///
 ///   * logicalCalls() -- how many questions the search asked. This is the
 ///     paper-comparable search-effort metric and the budget currency; it
-///     grows on every typechecks()/typeOfNode()/batch item regardless of
-///     how the answer was produced.
+///     grows on every typechecks()/typeOfNode() call regardless of how
+///     the answer was produced.
 ///   * inferenceRuns() -- how many times inference actually executed.
 ///     Acceleration layers (core/CheckpointedOracle.h) drive this far
 ///     below logicalCalls(); for plain oracles the two coincide.
@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace seminal {
 
@@ -48,30 +47,9 @@ struct OracleAccelOptions {
   bool Checkpoint = true;
 
   /// Memoize type-check verdicts keyed by the edited declaration's
-  /// structural hash.
+  /// interned id in the oracle's hash-consing arena (minicaml/Arena.h):
+  /// a probe is one integer lookup, with no stored clones.
   bool VerdictCache = true;
-
-  /// Evaluate candidate batches concurrently on a thread pool. Off by
-  /// default: results are bit-identical either way, but a library should
-  /// not spawn threads unless asked.
-  bool ParallelBatch = false;
-
-  /// Worker count for ParallelBatch; 0 picks hardware concurrency.
-  unsigned Threads = 0;
-
-  /// Batches with fewer uncached candidates than this run serially even
-  /// under ParallelBatch: dispatch overhead swamps sub-millisecond
-  /// inference. Verdicts are identical either way.
-  unsigned MinParallelItems = 8;
-
-  /// Hash-cons candidate declarations into a shared AST arena
-  /// (minicaml/Arena.h) and key the verdict cache on interned node ids
-  /// instead of structural hashes: probes become integer lookups and
-  /// candidates that collapse to the same tree are detected by id. Only
-  /// effective together with VerdictCache; verdicts, logical-call counts
-  /// and cache hit/miss accounting are bit-identical either way (the
-  /// toggle exists for ablation and for the arena/legacy identity tests).
-  bool Arena = true;
 };
 
 /// Black-box type-check oracle over mini-Caml programs.
@@ -109,23 +87,6 @@ public:
     return typeOfNodeTraced(Prog, Node);
   }
 
-  /// Evaluates \p Base with each replacement installed at \p Path (one
-  /// independent program per entry; \p Base itself is not modified) and
-  /// returns the verdicts in input order. Counts one logical call per
-  /// entry -- exactly what the same queries would cost sequentially.
-  std::vector<bool>
-  typecheckBatch(const caml::Program &Base, const caml::NodePath &Path,
-                 const std::vector<const caml::Expr *> &Replacements) {
-    LogicalCalls += Replacements.size();
-    if (!TraceOut && !MetricsOut)
-      return typecheckBatchImpl(Base, Path, Replacements);
-    return typecheckBatchTraced(Base, Path, Replacements);
-  }
-
-  /// True if typecheckBatch is faster than the equivalent sequential
-  /// loop (the searcher only batches when it is).
-  virtual bool supportsBatch() const { return false; }
-
   /// Hints that until clearPrefix(), every queried program will consist of
   /// the first \p EditedDecl declarations of \p Prog unchanged plus one
   /// edited declaration at index \p EditedDecl. Accelerated oracles
@@ -157,11 +118,6 @@ protected:
   virtual std::optional<std::string>
   typeOfNodeImpl(const caml::Program &Prog, const caml::Expr *Node) = 0;
 
-  /// Default batch: sequential evaluation over clones of \p Base.
-  virtual std::vector<bool>
-  typecheckBatchImpl(const caml::Program &Base, const caml::NodePath &Path,
-                     const std::vector<const caml::Expr *> &Replacements);
-
   // Tracing support ---------------------------------------------------------
   // Implementations describe how they served the *current* call by
   // setting these before returning; the traced wrappers stamp them onto
@@ -171,32 +127,14 @@ protected:
   const char *LastServedBy = "full-inference";
   /// True when the verdict came from a memo rather than inference.
   bool LastCacheHit = false;
-  /// Parent span id for per-item spans emitted inside a traced batch
-  /// (0 outside a batch or when tracing is off).
-  uint64_t BatchSpanId = 0;
-  /// Batch-level accounting stamped onto the oracle.batch span by the
-  /// traced wrapper: overlays that collapsed to another candidate's
-  /// interned tree in the batch just served, and arena occupancy after
-  /// it. All stay zero when the arena path is off.
-  uint64_t LastWaveCollapsed = 0;
-  uint64_t LastArenaNodes = 0;
-  uint64_t LastArenaHits = 0;
-  uint64_t LastArenaBytes = 0;
 
   TraceSink *TraceOut = nullptr;
   Metrics *MetricsOut = nullptr;
-
-  /// Wraps typecheckImpl in an oracle-call span + latency metric; used
-  /// by the default batch implementation for per-item spans too.
-  bool typecheckOneTraced(const caml::Program &Prog, uint64_t ParentSpan);
 
 private:
   bool typechecksTraced(const caml::Program &Prog);
   std::optional<std::string> typeOfNodeTraced(const caml::Program &Prog,
                                               const caml::Expr *Node);
-  std::vector<bool>
-  typecheckBatchTraced(const caml::Program &Base, const caml::NodePath &Path,
-                       const std::vector<const caml::Expr *> &Replacements);
 
   size_t LogicalCalls = 0;
 };

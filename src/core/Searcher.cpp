@@ -22,7 +22,7 @@ bool Searcher::oracleSays() {
 
 void Searcher::note(const char *Layer, const char *Kind,
                     const std::string &Description, const std::string &Path,
-                    bool Verdict, bool Probe, bool Batched, bool Pruned) {
+                    bool Verdict, bool Probe, bool Pruned) {
   if (!Opts.Telemetry)
     return;
   obs::CandidateOutcome O;
@@ -32,7 +32,6 @@ void Searcher::note(const char *Layer, const char *Kind,
   O.Path = Path;
   O.Verdict = Verdict;
   O.Probe = Probe;
-  O.Batched = Batched;
   O.Pruned = Pruned;
   Opts.Telemetry->record(std::move(O));
 }
@@ -93,13 +92,11 @@ void Searcher::addSuggestion(ChangeKind Kind, const NodePath &Path,
 
 bool Searcher::tryCandidates(const NodePath &Path,
                              std::vector<CandidateChange> Cands) {
-  if (Opts.Accel.ParallelBatch && TheOracle.supportsBatch())
-    return tryCandidatesBatched(Path, std::move(Cands));
   TraceLayerScope Layer("constructive");
   const Expr *Node = guideActive() ? resolvePath(Work, Path) : nullptr;
   // With an arena the per-candidate diff walks interned ids (shared
-  // subtrees compare as integers); interned once per node, reused for
-  // every candidate and by the oracle's overlay construction.
+  // subtrees compare as integers); interned once per node and reused for
+  // every candidate.
   AstArena::ExprId NodeId =
       Node && Arena ? Arena->internExpr(*Node) : AstArena::InvalidId;
   const std::string PathStr = Opts.Telemetry ? Path.str() : std::string();
@@ -119,8 +116,7 @@ bool Searcher::tryCandidates(const NodePath &Path,
       ++Guide->PrunedCandidates;
       Ok = false;
       note("constructive", C.IsProbe ? "probe" : "constructive",
-           C.Description, PathStr, false, C.IsProbe, /*Batched=*/false,
-           /*Pruned=*/true);
+           C.Description, PathStr, false, C.IsProbe, /*Pruned=*/true);
     } else {
       TraceSpan Span(Opts.Trace, SpanKind::Candidate, "searcher.candidate");
       Ok = testWith(Path, C.Replacement);
@@ -144,94 +140,6 @@ bool Searcher::tryCandidates(const NodePath &Path,
       for (auto &Next : More)
         Cands.push_back(std::move(Next));
     }
-  }
-  if (Opts.Metric && Tried)
-    Opts.Metric->observe(metric::CandidatesPerNode, double(Tried));
-  return Any;
-}
-
-bool Searcher::tryCandidatesBatched(const NodePath &Path,
-                                    std::vector<CandidateChange> Cands) {
-  TraceLayerScope Layer("constructive");
-  const Expr *Node = guideActive() ? resolvePath(Work, Path) : nullptr;
-  AstArena::ExprId NodeId =
-      Node && Arena ? Arena->internExpr(*Node) : AstArena::InvalidId;
-  const std::string PathStr = Opts.Telemetry ? Path.str() : std::string();
-  bool Any = false;
-  size_t Tried = 0;
-  size_t I = 0;
-  while (I < Cands.size() && !OutOfBudget) {
-    // One wave = everything currently on the worklist (follow-ups landed
-    // by earlier waves included), truncated to the remaining budget. The
-    // candidates in a wave are mutually independent: each is a different
-    // replacement at the same path, so verdicts cannot interact.
-    size_t Used = TheOracle.callCount();
-    size_t Remaining =
-        Used < Opts.MaxOracleCalls ? Opts.MaxOracleCalls - Used : 0;
-    if (Remaining == 0) {
-      OutOfBudget = true;
-      break;
-    }
-    size_t WaveEnd = I + std::min(Cands.size() - I, Remaining);
-
-    // Slice-doomed candidates are excluded from the batch; their verdict
-    // is a proven "no" and they cost no oracle call.
-    std::vector<char> Doomed(WaveEnd - I, 0);
-    std::vector<const Expr *> Replacements;
-    Replacements.reserve(WaveEnd - I);
-    for (size_t J = I; J < WaveEnd; ++J) {
-      if (Node &&
-          (Arena
-               ? Guide->candidateDoomed(
-                     *Node, NodeId, *Cands[J].Replacement,
-                     Arena->internExpr(*Cands[J].Replacement), *Arena)
-               : Guide->candidateDoomed(*Node, *Cands[J].Replacement))) {
-        Doomed[J - I] = 1;
-        ++Guide->PrunedCandidates;
-      } else {
-        Replacements.push_back(Cands[J].Replacement.get());
-      }
-    }
-    std::vector<bool> Verdicts;
-    if (!Replacements.empty())
-      Verdicts = TheOracle.typecheckBatch(Work, Path, Replacements);
-
-    // Consume verdicts in worklist order: suggestions are appended and
-    // follow-ups enqueued exactly as the sequential loop would.
-    size_t VI = 0;
-    for (size_t J = I; J < WaveEnd; ++J) {
-      CandidateChange &C = Cands[J];
-      bool Ok = Doomed[J - I] ? false : Verdicts[VI++];
-      if (!Doomed[J - I])
-        ++Tried;
-      // Zero-duration attribution spans: the oracle work itself is
-      // recorded under the batch span, but rankers of the trace still
-      // see which candidate each verdict belonged to.
-      TraceSpan Span(Opts.Trace, SpanKind::Candidate, "searcher.candidate");
-      if (Span.enabled()) {
-        Span.attr("description", C.Description);
-        Span.attr("probe", C.IsProbe);
-        Span.attr("priority", C.Priority);
-        Span.attr("verdict", Ok);
-        Span.attr("batched", true);
-      }
-      Span.finish();
-      note("constructive", C.IsProbe ? "probe" : "constructive",
-           C.Description, PathStr, Ok, C.IsProbe, /*Batched=*/true,
-           /*Pruned=*/Doomed[J - I] != 0);
-      if (Ok && !C.IsProbe) {
-        addSuggestion(ChangeKind::Constructive, Path,
-                      std::move(C.Replacement), C.Description,
-                      /*LikelyUnbound=*/false, C.Priority);
-        Any = true;
-      }
-      if (C.FollowUps) {
-        std::vector<CandidateChange> More = C.FollowUps(Ok);
-        for (auto &Next : More)
-          Cands.push_back(std::move(Next));
-      }
-    }
-    I = WaveEnd;
   }
   if (Opts.Metric && Tried)
     Opts.Metric->observe(metric::CandidatesPerNode, double(Tried));
@@ -283,7 +191,7 @@ bool Searcher::searchExpr(const NodePath &Path) {
   if (guideActive() && Guide->subtreeDoomed(*Node)) {
     ++Guide->PrunedSubtrees;
     note("removal", "probe", "", Opts.Telemetry ? Path.str() : std::string(),
-         false, /*Probe=*/true, /*Batched=*/false, /*Pruned=*/true);
+         false, /*Probe=*/true, /*Pruned=*/true);
     return false;
   }
 
@@ -315,7 +223,7 @@ bool Searcher::searchExpr(const NodePath &Path) {
   if (guideActive() && Guide->adaptationDoomed(*Node)) {
     ++Guide->PrunedAdaptations;
     note("adaptation", "adaptation", "", PathStr, false, /*Probe=*/false,
-         /*Batched=*/false, /*Pruned=*/true);
+         /*Pruned=*/true);
   } else {
     ExprPtr Adapted = makeAdapt(Node->clone());
     {
@@ -739,7 +647,7 @@ SearchOutput Searcher::run(const Program &Input) {
       for (size_t P = 0; P < LocalizationsSkipped && Opts.Telemetry; ++P)
         note("localize", "probe", "prefix pinned by internal inference", "",
              /*Verdict=*/P + 1 < LocalizationsSkipped, /*Probe=*/true,
-             /*Batched=*/false, /*Pruned=*/true);
+             /*Pruned=*/true);
     }
   }
   if (!Failing) {

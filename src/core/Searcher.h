@@ -72,8 +72,7 @@ struct SearchOptions {
   size_t MaxOracleCalls = 200000;
 
   /// Oracle acceleration toggles (forwarded to the oracle by runSeminal;
-  /// a Searcher driven with a hand-built oracle ignores all but
-  /// ParallelBatch, which additionally gates batched candidate waves).
+  /// a Searcher driven with a hand-built oracle ignores them).
   OracleAccelOptions Accel;
 
   EnumeratorOptions Enum;
@@ -149,7 +148,7 @@ public:
   /// \p Arena, when non-null, is the hash-consing arena shared with the
   /// accelerated oracle: suggestions capture their modified program as
   /// interned declaration ids (materialized only if read), enumerator
-  /// follow-ups capture overlay spines instead of cloned subtrees, and
+  /// follow-ups capture interned ids instead of cloned subtrees, and
   /// slice-guide candidate diffs walk interned ids. With a null arena
   /// every capture falls back to deep clones; search behavior and
   /// suggestion lists are bit-identical either way.
@@ -176,14 +175,6 @@ private:
   bool tryCandidates(const caml::NodePath &Path,
                      std::vector<CandidateChange> Cands);
 
-  /// Batched variant of tryCandidates: evaluates the worklist in waves
-  /// through Oracle::typecheckBatch. Wave order replays the sequential
-  /// worklist order exactly, so suggestions and logical-call totals are
-  /// identical; only the budget-exhaustion cutoff can differ in
-  /// granularity.
-  bool tryCandidatesBatched(const caml::NodePath &Path,
-                            std::vector<CandidateChange> Cands);
-
   /// Declaration-level changes (toggle rec, curry/tuple params).
   bool tryDeclChanges(unsigned DeclIndex);
 
@@ -200,8 +191,7 @@ private:
   /// Emits one outcome record to Opts.Telemetry (no-op when null).
   void note(const char *Layer, const char *Kind,
             const std::string &Description, const std::string &Path,
-            bool Verdict, bool Probe, bool Batched = false,
-            bool Pruned = false);
+            bool Verdict, bool Probe, bool Pruned = false);
 
   // Suggestion construction -------------------------------------------------
   void addSuggestion(ChangeKind Kind, const caml::NodePath &Path,

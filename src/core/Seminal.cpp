@@ -109,9 +109,9 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
   TheOracle.resetCallCount();
   TheOracle.resetCounters();
   TheOracle.setInstrumentation(Opts.Search.Trace, Opts.Search.Metric);
-  // One arena per run, shared by oracle and searcher: the searcher's
-  // candidate overlays hit the oracle's interned base nodes, and
-  // suggestion captures reuse both. Null when the arena is toggled off.
+  // One arena per run, shared by oracle and searcher: the oracle's
+  // verdict-cache keys and the searcher's suggestion captures intern
+  // into the same store.
   std::shared_ptr<caml::AstArena> Arena = TheOracle.arena();
   Report.CheckerError = TheOracle.conventionalError(Prog);
 

@@ -5,7 +5,6 @@
 #include "minicaml/Hash.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace seminal;
 using namespace seminal::caml;
@@ -366,152 +365,6 @@ AstArena::DeclId AstArena::internDecl(const Decl &D) {
   }
   PatStack.resize(ParamStart);
   return Found;
-}
-
-//===----------------------------------------------------------------------===//
-// Overlays
-//===----------------------------------------------------------------------===//
-
-AstArena::ExprId AstArena::internWithChild(ExprId Orig, unsigned Slot,
-                                           ExprId NewChild) {
-  if (ExprNodes[Orig].Children[Slot] == NewChild)
-    return Orig; // No-op replacement: the overlay is the base itself.
-
-  uint64_t H;
-  {
-    const ExprNode &O = ExprNodes[Orig];
-    using hashing::mix;
-    using hashing::mixString;
-    H = mix(hashing::Seed, 0xE0 + uint64_t(O.Kind));
-    H = mix(H, uint64_t(O.IntValue));
-    H = mix(H, O.BoolValue ? 2 : 1);
-    H = mixString(H, O.StringValue);
-    H = mixString(H, O.Name);
-    H = mix(H, O.IsRec ? 2 : 1);
-    for (const std::string &F : O.FieldNames)
-      H = mixString(H, F);
-    if (O.Binding != InvalidId)
-      H = mix(H, PatternNodes[O.Binding].Hash);
-    H = mix(H, O.Params.size());
-    for (PatternId Param : O.Params)
-      H = mix(H, PatternNodes[Param].Hash);
-    H = mix(H, O.ArmPats.size());
-    for (PatternId Pat : O.ArmPats)
-      H = mix(H, PatternNodes[Pat].Hash);
-    H = mix(H, O.Children.size());
-    for (size_t I = 0; I < O.Children.size(); ++I)
-      H = mix(H, ExprNodes[I == Slot ? NewChild : O.Children[I]].Hash);
-  }
-
-  std::vector<ExprId> &Bucket = ExprTable[H];
-  for (ExprId Id : Bucket) {
-    const ExprNode &C = ExprNodes[Id];
-    const ExprNode &O = ExprNodes[Orig];
-    if (C.Kind != O.Kind || C.IntValue != O.IntValue ||
-        C.BoolValue != O.BoolValue || C.IsRec != O.IsRec ||
-        C.StringValue != O.StringValue || C.Name != O.Name ||
-        C.FieldNames != O.FieldNames || C.Binding != O.Binding ||
-        C.Params != O.Params || C.ArmPats != O.ArmPats ||
-        C.Children.size() != O.Children.size())
-      continue;
-    bool Same = true;
-    for (size_t I = 0; I < C.Children.size(); ++I)
-      if (C.Children[I] != (I == Slot ? NewChild : O.Children[I])) {
-        Same = false;
-        break;
-      }
-    if (Same) {
-      ++TheStats.Hits;
-      return Id;
-    }
-  }
-
-  // Genuinely new spine node: copy the record (the only allocation the
-  // overlay pays, and only the first time this particular edit is seen).
-  ExprNode N = ExprNodes[Orig];
-  N.Children[Slot] = NewChild;
-  N.Hash = H;
-  ExprId Id = ExprId(ExprNodes.size());
-  ++TheStats.Nodes;
-  TheStats.Bytes += sizeof(ExprNode) + N.StringValue.size() + N.Name.size() +
-                    stringsBytes(N.FieldNames) +
-                    N.FieldNames.size() * sizeof(std::string) +
-                    (N.Params.size() + N.ArmPats.size()) * sizeof(PatternId) +
-                    N.Children.size() * sizeof(ExprId);
-  ExprNodes.push_back(std::move(N));
-  Bucket.push_back(Id);
-  return Id;
-}
-
-AstArena::ExprId AstArena::overlayExpr(ExprId Base,
-                                       const std::vector<unsigned> &Steps,
-                                       ExprId Repl) {
-  if (Steps.empty())
-    return Repl;
-  // Collect the spine into the shared scratch stack (balanced frame), then
-  // rebuild bottom-up through the one-slot probe.
-  size_t SpineStart = ExprStack.size();
-  ExprId Cur = Base;
-  for (unsigned Step : Steps) {
-    assert(Step < ExprNodes[Cur].Children.size() && "overlay step range");
-    ExprStack.push_back(Cur);
-    Cur = ExprNodes[Cur].Children[Step];
-  }
-  ExprId New = Repl;
-  for (size_t I = Steps.size(); I-- > 0;)
-    New = internWithChild(ExprStack[SpineStart + I], Steps[I], New);
-  ExprStack.resize(SpineStart);
-  return New;
-}
-
-AstArena::DeclId AstArena::internLetWithRhs(DeclId Base, ExprId NewRhs) {
-  if (DeclNodes[Base].Rhs == NewRhs)
-    return Base;
-
-  uint64_t H;
-  {
-    const DeclNode &O = DeclNodes[Base];
-    using hashing::mix;
-    H = mix(hashing::Seed, 0xD0 + uint64_t(Decl::Kind::Let));
-    H = mix(H, O.IsRec ? 2 : 1);
-    H = mix(H, PatternNodes[O.Binding].Hash);
-    H = mix(H, O.Params.size());
-    for (PatternId Param : O.Params)
-      H = mix(H, PatternNodes[Param].Hash);
-    H = mix(H, ExprNodes[NewRhs].Hash);
-  }
-
-  std::vector<DeclId> &Bucket = DeclTable[H];
-  for (DeclId Id : Bucket) {
-    const DeclNode &C = DeclNodes[Id];
-    const DeclNode &O = DeclNodes[Base];
-    if (C.Kind == Decl::Kind::Let && C.IsRec == O.IsRec &&
-        C.Binding == O.Binding && C.Rhs == NewRhs && C.Params == O.Params) {
-      ++TheStats.Hits;
-      return Id;
-    }
-  }
-
-  DeclNode N;
-  N.Kind = Decl::Kind::Let;
-  N.IsRec = DeclNodes[Base].IsRec;
-  N.Binding = DeclNodes[Base].Binding;
-  N.Params = DeclNodes[Base].Params;
-  N.Rhs = NewRhs;
-  N.Hash = H;
-  DeclId Id = DeclId(DeclNodes.size());
-  ++TheStats.Nodes;
-  TheStats.Bytes += sizeof(DeclNode) + N.Params.size() * sizeof(PatternId);
-  DeclNodes.push_back(std::move(N));
-  Bucket.push_back(Id);
-  return Id;
-}
-
-AstArena::DeclId AstArena::overlayDecl(DeclId Base,
-                                       const std::vector<unsigned> &Steps,
-                                       ExprId Repl) {
-  assert(DeclNodes[Base].Kind == Decl::Kind::Let && "overlay on non-let");
-  return internLetWithRhs(Base, overlayExpr(DeclNodes[Base].Rhs, Steps, Repl));
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,6 +13,17 @@ namespace {
 
 using TK = Token::Kind;
 
+/// Deepest nesting the parser accepts. Every recursive descent holds one
+/// level while it parses: a parenthesized, bracketed or keyword-nested
+/// sub-expression (let ... in, fun, match, if), one more `;` or
+/// right-associative operand, a prefix operator, a nested pattern or a
+/// nested type expression. Past the bound the parse stops with a located
+/// syntax error instead of exhausting the native stack. The generated
+/// corpus and scaling programs nest at most ~20 levels; the bound also
+/// keeps the AST shallow enough for the recursive passes downstream
+/// (inference, search, printing) on an 8 MiB thread stack.
+constexpr unsigned MaxNestingDepth = 1000;
+
 /// The parser proper. Error handling uses a sticky failure flag: once a
 /// syntax error is recorded every parse function bails out immediately, so
 /// only the first error is reported (library code avoids exceptions).
@@ -56,6 +67,22 @@ private:
     Failed = true;
     Error = ParseError{peek().Loc, Message};
   }
+
+  /// Holds one level of MaxNestingDepth for its lifetime. Entering past
+  /// the bound records the error at the current token; the guarded
+  /// production then bails out through its usual Failed checks.
+  class Nesting {
+  public:
+    explicit Nesting(ParserImpl &P) : P(P) {
+      if (++P.Depth > MaxNestingDepth)
+        P.fail("nesting deeper than " + std::to_string(MaxNestingDepth) +
+               " levels");
+    }
+    ~Nesting() { --P.Depth; }
+
+  private:
+    ParserImpl &P;
+  };
 
   void setSpan(Expr *E, SourceLoc Start) {
     E->Span = SourceSpan(Start, prevEnd());
@@ -103,6 +130,7 @@ private:
 
   std::vector<Token> Tokens;
   size_t Index = 0;
+  unsigned Depth = 0; ///< Active Nesting levels.
   bool Failed = false;
   ParseError Error{SourceLoc(), ""};
 };
@@ -326,6 +354,7 @@ ExprPtr ParserImpl::parseExpr() {
   if (!check(TK::Semi))
     return First;
   advance();
+  Nesting Level(*this);
   ExprPtr Rest = parseExpr();
   if (Failed)
     return nullptr;
@@ -335,6 +364,9 @@ ExprPtr ParserImpl::parseExpr() {
 }
 
 ExprPtr ParserImpl::parseTupleExpr() {
+  // Every nested expression (parenthesized, bracketed, a record field, a
+  // keyword form's body or branch) comes through here.
+  Nesting Level(*this);
   if (Failed)
     return nullptr;
   SourceLoc Start = peek().Loc;
@@ -361,6 +393,7 @@ ExprPtr ParserImpl::parseAssignExpr() {
   if (Failed)
     return nullptr;
   if (accept(TK::Assign)) {
+    Nesting Level(*this);
     ExprPtr Rhs = parseAssignExpr();
     if (Failed)
       return nullptr;
@@ -374,6 +407,7 @@ ExprPtr ParserImpl::parseAssignExpr() {
       return nullptr;
     }
     advance();
+    Nesting Level(*this);
     ExprPtr Rhs = parseAssignExpr();
     if (Failed)
       return nullptr;
@@ -465,6 +499,7 @@ ExprPtr ParserImpl::parseConcatExpr() {
   else
     return Lhs;
   advance();
+  Nesting Level(*this);
   ExprPtr Rhs = parseConcatExpr(); // right associative
   if (Failed)
     return nullptr;
@@ -481,6 +516,7 @@ ExprPtr ParserImpl::parseConsExpr() {
   if (Failed || !check(TK::ColonColon))
     return Head;
   advance();
+  Nesting Level(*this);
   ExprPtr Tail = parseConsExpr(); // right associative
   if (Failed)
     return nullptr;
@@ -539,31 +575,19 @@ ExprPtr ParserImpl::parseUnaryExpr() {
   if (Failed)
     return nullptr;
   SourceLoc Start = peek().Loc;
-  if (accept(TK::Minus)) {
-    ExprPtr Operand = parseUnaryExpr();
-    if (Failed)
-      return nullptr;
-    ExprPtr E = makeUnaryOp("-", std::move(Operand));
-    setSpan(E.get(), Start);
-    return E;
-  }
-  if (accept(TK::KwNot)) {
-    ExprPtr Operand = parseUnaryExpr();
-    if (Failed)
-      return nullptr;
-    ExprPtr E = makeUnaryOp("not", std::move(Operand));
-    setSpan(E.get(), Start);
-    return E;
-  }
-  if (accept(TK::Bang)) {
-    ExprPtr Operand = parseUnaryExpr();
-    if (Failed)
-      return nullptr;
-    ExprPtr E = makeUnaryOp("!", std::move(Operand));
-    setSpan(E.get(), Start);
-    return E;
-  }
-  return parseAppExpr();
+  const char *Op = accept(TK::Minus)    ? "-"
+                   : accept(TK::KwNot) ? "not"
+                   : accept(TK::Bang)  ? "!"
+                                       : nullptr;
+  if (!Op)
+    return parseAppExpr();
+  Nesting Level(*this);
+  ExprPtr Operand = parseUnaryExpr();
+  if (Failed)
+    return nullptr;
+  ExprPtr E = makeUnaryOp(Op, std::move(Operand));
+  setSpan(E.get(), Start);
+  return E;
 }
 
 ExprPtr ParserImpl::parseAppExpr() {
@@ -689,6 +713,7 @@ ExprPtr ParserImpl::parseKeywordForm() {
     return E;
   }
   if (accept(TK::KwRaise)) {
+    Nesting Level(*this);
     ExprPtr Operand = parsePostfixExpr();
     if (Failed)
       return nullptr;
@@ -855,6 +880,7 @@ PatternPtr ParserImpl::parseConsPattern() {
   if (Failed || !check(TK::ColonColon))
     return Head;
   advance();
+  Nesting Level(*this);
   PatternPtr Tail = parseConsPattern(); // right associative
   if (Failed)
     return nullptr;
@@ -882,6 +908,8 @@ PatternPtr ParserImpl::parseSimplePattern() {
 }
 
 PatternPtr ParserImpl::parseAtomPattern() {
+  // Parenthesized, list and constructor-argument patterns nest here.
+  Nesting Level(*this);
   if (Failed)
     return nullptr;
   SourceLoc Start = peek().Loc;
@@ -970,6 +998,8 @@ PatternPtr ParserImpl::parseAtomPattern() {
 //===----------------------------------------------------------------------===//
 
 TypeExprPtr ParserImpl::parseTypeExpr() {
+  // Parenthesized types and arrow results nest here.
+  Nesting Level(*this);
   if (Failed)
     return nullptr;
   TypeExprPtr From = parseTupleTypeExpr();

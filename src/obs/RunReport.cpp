@@ -171,8 +171,6 @@ void RunReport::writeJson(std::ostream &OS, bool Pretty) const {
   J.field("incremental_inferences", Accel.IncrementalInferences);
   J.field("full_inferences", Accel.FullInferences);
   J.field("decl_rechecks_saved", Accel.DeclInferencesSaved);
-  J.field("batches", Accel.BatchesDispatched);
-  J.field("wave_collapsed", Accel.WaveCollapsed);
   J.field("arena_nodes", Accel.ArenaNodes);
   J.field("arena_hits", Accel.ArenaHits);
   J.field("arena_bytes", Accel.ArenaBytes);

@@ -46,7 +46,10 @@ namespace obs {
 /// arena_nodes / arena_bytes / verdict_cache_hits). Consumers that
 /// reconcile effort against the ledger must not read v1 records, hence
 /// the bump rather than a silent field addition.
-inline constexpr int RunReportSchemaVersion = 2;
+///
+/// v3: effort lost "batches" and "wave_collapsed"; the oracle answers
+/// candidates one at a time, so both always read 0.
+inline constexpr int RunReportSchemaVersion = 3;
 
 /// One ranked suggestion, flattened for reporting.
 struct SuggestionOutcome {
@@ -114,7 +117,7 @@ struct RunReport {
   /// Accel / OracleCalls by construction.
   RequestCost Cost;
   /// Acceleration-layer counters for the run (cache hits, checkpoint
-  /// reuse, batches).
+  /// reuse, arena occupancy).
   AccelCounters Accel;
   /// Candidate outcomes per search layer (from the TelemetrySink).
   std::map<std::string, LayerStats> Layers;

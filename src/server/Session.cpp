@@ -17,10 +17,10 @@ using namespace seminal::server;
 
 Session::Session(std::string Name, const SessionConfig &Config)
     : Name(std::move(Name)), Config(Config) {
-  // Session retention needs the arena-keyed caches; force the layers on
-  // regardless of what the caller left in Accel so a session is never
-  // silently cold. (Ablation experiments drive the oracle directly.)
-  this->Config.Accel.Arena = true;
+  // Session retention needs the checkpoint and the arena-keyed verdict
+  // cache; force both on regardless of what the caller left in Accel so a
+  // session is never silently cold. (Ablation experiments drive the
+  // oracle directly.)
   this->Config.Accel.Checkpoint = true;
   this->Config.Accel.VerdictCache = true;
   rebuildOracle();
@@ -36,7 +36,7 @@ void Session::rebuildOracle() {
     // Reuse the node storage when nothing else holds an id into it;
     // otherwise start a fresh arena and let the old one die with its
     // last holder (ids must stay valid for whoever kept them).
-    if (Arena && Arena.use_count() == 1)
+    if (Arena.use_count() == 1)
       Arena->clear();
     else
       Arena = std::make_shared<caml::AstArena>();
@@ -152,14 +152,12 @@ CheckOutcome Session::check(const std::string &Source,
   // is already rendered into Out) before deciding, so an in-place clear
   // is possible.
   R = SeminalReport();
-  if (Oracle->arena() &&
-      Oracle->arena()->stats().Bytes > Config.ArenaEvictBytes) {
+  if (Oracle->arena()->stats().Bytes > Config.ArenaEvictBytes) {
     rebuildOracle();
     ++Evictions;
     Out.Evicted = true;
   }
-  if (Oracle->arena())
-    Out.ArenaBytes = Oracle->arena()->stats().Bytes;
+  Out.ArenaBytes = Oracle->arena()->stats().Bytes;
 
   if (WantSlowTrace && Out.WallSeconds * 1000.0 >= Config.TraceSlowMs)
     Out.SlowTracePath = Config.SlowTraces->capture(Opts.RequestId, *Sink);

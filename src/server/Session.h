@@ -48,9 +48,9 @@ namespace server {
 
 /// Configuration shared by every session of one server.
 struct SessionConfig {
-  /// Oracle acceleration for the long-lived oracle. ParallelBatch stays
-  /// off by default: server concurrency comes from sharding sessions
-  /// across workers, and nested pools would oversubscribe.
+  /// Oracle acceleration for the long-lived oracle (the session forces
+  /// both layers on). Server concurrency comes from sharding sessions
+  /// across workers; each oracle answers its calls serially.
   OracleAccelOptions Accel;
 
   /// Baseline run options; per-request limits override copies of this.

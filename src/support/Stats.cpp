@@ -18,10 +18,7 @@ AccelCounters &AccelCounters::operator+=(const AccelCounters &Other) {
   DeclInferencesSaved += Other.DeclInferencesSaved;
   CheckpointSeeds += Other.CheckpointSeeds;
   CheckpointFallbacks += Other.CheckpointFallbacks;
-  BatchesDispatched += Other.BatchesDispatched;
-  BatchItems += Other.BatchItems;
   TypesAllocated += Other.TypesAllocated;
-  WaveCollapsed += Other.WaveCollapsed;
   SessionPrefixHits += Other.SessionPrefixHits;
   SessionVerdictReuses += Other.SessionVerdictReuses;
   SessionSeedAdoptions += Other.SessionSeedAdoptions;
@@ -47,9 +44,6 @@ std::string AccelCounters::render() const {
      << DeclInferencesSaved << " prefix decl re-checks saved\n"
      << "  checkpoints: " << CheckpointSeeds << " seeded, "
      << CheckpointFallbacks << " fallbacks to full inference\n"
-     << "  batches: " << BatchesDispatched << " dispatched carrying "
-     << BatchItems << " candidates, " << WaveCollapsed
-     << " wave-collapsed overlays\n"
      << "  arena: " << ArenaNodes << " nodes, " << ArenaHits << " hits, "
      << ArenaBytes << " bytes\n"
      << "  type allocations: " << TypesAllocated << "\n";

@@ -24,12 +24,12 @@
 namespace seminal {
 
 /// Hit/miss/saved-work counters for the oracle acceleration layer
-/// (prefix-environment checkpointing, structural verdict cache, batched
-/// parallel evaluation -- see core/CheckpointedOracle.h). Kept in support
+/// (prefix-environment checkpointing and the arena-keyed verdict cache --
+/// see core/CheckpointedOracle.h). Kept in support
 /// so both the oracle and the bench harnesses can consume them without a
 /// dependency cycle.
 struct AccelCounters {
-  /// Type-check verdicts served straight from the structural cache.
+  /// Type-check verdicts served straight from the verdict cache.
   uint64_t CacheHits = 0;
   /// Lookups that missed and had to run inference.
   uint64_t CacheMisses = 0;
@@ -44,16 +44,9 @@ struct AccelCounters {
   /// inference because the program shape did not match the seed.
   uint64_t CheckpointSeeds = 0;
   uint64_t CheckpointFallbacks = 0;
-  /// Batches dispatched to the pool and items they carried.
-  uint64_t BatchesDispatched = 0;
-  uint64_t BatchItems = 0;
   /// Unification-variable allocations across all inference performed; a
   /// hardware-independent work proxy (TypecheckResult::TypesAllocated).
   uint64_t TypesAllocated = 0;
-  /// Batch items whose overlay collapsed to another candidate's interned
-  /// tree in the same wave (still billed as logical calls + cache hits;
-  /// this counts the collapses separately).
-  uint64_t WaveCollapsed = 0;
   /// Hash-consing arena occupancy at last sync (minicaml/Arena.h):
   /// distinct nodes stored, intern requests answered by an existing node,
   /// and approximate retained bytes.

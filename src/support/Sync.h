@@ -118,7 +118,7 @@ enum class LockRank : uint16_t {
   ServerConn = 10,    ///< UnixSocketServer connection registry.
   ServerEngine = 20,  ///< ServerEngine session table + stats rollup.
   ServerWrite = 30,   ///< Per-connection / per-stream reply writers.
-  ThreadPool = 40,    ///< support/ThreadPool queues and job state.
+  ThreadPool = 40,    ///< support/ThreadPool shard queues.
   Telemetry = 50,     ///< obs/TelemetrySink outcome records.
   SlowTraceRing = 55, ///< obs/SlowTraceRing file ring (holds its lock
                       ///< while exporting through a TraceSink: must

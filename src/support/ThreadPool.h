@@ -1,28 +1,18 @@
-//===- ThreadPool.h - Minimal fixed-size worker pool ------------*- C++ -*-==//
+//===- ThreadPool.h - Per-shard FIFO worker pool ----------------*- C++ -*-==//
 //
 // Part of the SEMINAL reproduction. See README.md for license information.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size thread pool with two entry points:
+/// A small fixed-size pool of worker threads, each draining its own FIFO
+/// task queue. The search daemon (src/server) pins every session to one
+/// shard via post(Shard, Task), so all requests touching a session's warm
+/// caches execute on the same worker in submission order: session state
+/// needs no locks, and concurrent clients on different shards never
+/// contend on each other's caches.
 ///
-///   * parallelFor over an index range -- the batched oracle
-///     (core/CheckpointedOracle.h) uses it to evaluate independent
-///     candidate programs concurrently; each callback receives its worker
-///     index so callers can keep per-worker state (one inference
-///     checkpoint per worker) without locking.
-///   * post(Shard, Task) -- a per-worker FIFO task queue. The search
-///     daemon (src/server) pins every session to one shard, so all
-///     requests touching a session's warm caches execute on the same
-///     worker in submission order: session state needs no locks, and
-///     concurrent clients on different shards never contend on each
-///     other's caches.
-///
-/// Determinism note: parallelFor items are claimed dynamically, so
-/// *completion* order varies between runs, but results are written to
-/// per-index slots and consumed in index order -- scheduling never leaks
-/// into output order. Posted tasks are FIFO per shard; ordering across
+/// Determinism note: posted tasks are FIFO per shard; ordering across
 /// shards is unspecified (by design -- shards are independent).
 ///
 //===----------------------------------------------------------------------===//
@@ -40,9 +30,8 @@
 
 namespace seminal {
 
-/// Fixed-size pool of worker threads, created once and reused across
-/// parallelFor calls (spawning threads per oracle batch would dominate
-/// the millisecond-scale batches the searcher issues).
+/// Fixed-size pool of worker threads, one FIFO queue per worker, created
+/// once and reused for the pool's lifetime.
 class ThreadPool {
 public:
   /// \p Threads workers; 0 picks the hardware concurrency (at least 1).
@@ -54,21 +43,12 @@ public:
 
   unsigned numThreads() const { return unsigned(Workers.size()); }
 
-  /// Invokes Fn(WorkerIndex, ItemIndex) for every ItemIndex in
-  /// [0, NumItems), distributing items over the workers; blocks until all
-  /// items complete. WorkerIndex is in [0, numThreads()). Not reentrant
-  /// and not thread-safe: one parallelFor at a time.
-  void parallelFor(size_t NumItems,
-                   const std::function<void(unsigned, size_t)> &Fn);
-
   /// Enqueues \p Task on the FIFO queue of worker Shard % numThreads()
   /// and returns immediately. Tasks posted to the same shard run on the
   /// same worker thread in submission order; tasks on different shards
   /// run concurrently. Thread-safe (any thread may post, including a
   /// worker posting to another shard -- posting to its *own* shard from
-  /// inside a task is allowed too, the task just runs later). Posted
-  /// tasks and parallelFor items share the workers; a long-running
-  /// posted task delays parallelFor progress on that worker.
+  /// inside a task is allowed too, the task just runs later).
   void post(size_t Shard, std::function<void()> Task);
 
   /// Blocks until every task posted so far has finished executing.
@@ -86,12 +66,6 @@ private:
   sync::Mutex Mutex{sync::LockRank::ThreadPool, "threadpool"};
   sync::CondVar WorkReady;
   sync::CondVar WorkDone;
-  const std::function<void(unsigned, size_t)> *Job
-      SEMINAL_GUARDED_BY(Mutex) = nullptr;
-  size_t JobSize SEMINAL_GUARDED_BY(Mutex) = 0;
-  size_t NextItem SEMINAL_GUARDED_BY(Mutex) = 0;
-  size_t ItemsLeft SEMINAL_GUARDED_BY(Mutex) = 0;
-  uint64_t Generation SEMINAL_GUARDED_BY(Mutex) = 0;
   bool ShuttingDown SEMINAL_GUARDED_BY(Mutex) = false;
 
   /// One FIFO per worker. PostedPending counts tasks accepted but not

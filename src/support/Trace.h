@@ -25,10 +25,9 @@
 ///   * Tracing is observational only: suggestions, logical-call counts,
 ///     and ranking are byte-identical with tracing on or off (enforced
 ///     by tests/TraceTest.cpp).
-///   * Thread-safe recording: the parallel-batch oracle emits item spans
-///     from pool workers; the sink serializes them under a mutex and
-///     stamps a global sequence number, so exports are totally ordered
-///     no matter which worker finished first.
+///   * Thread-safe recording: the sink serializes records under a mutex
+///     and stamps a global sequence number, so a sink shared by several
+///     threads still exports a totally ordered stream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,7 +54,6 @@ enum class SpanKind : uint8_t {
   NodeVisit,   ///< searchExpr at one AST node.
   Candidate,   ///< One enumerator candidate tested at a node.
   OracleCall,  ///< One logical oracle question.
-  OracleBatch, ///< One batched candidate wave.
   Triage,      ///< Triage entered at a node (Section 2.4).
   TriagePhase, ///< One phase of match triage / one focus iteration.
   PatternFix,  ///< Subpattern wildcard search.
@@ -99,7 +97,6 @@ struct TraceSummary {
   uint64_t Spans = 0;
   uint64_t OracleCallSpans = 0;
   uint64_t CacheHits = 0;
-  uint64_t BatchSpans = 0;
   /// Oracle-call spans bucketed by the search layer that issued them.
   std::map<std::string, uint64_t> CallsByLayer;
   /// All spans bucketed by kind name.
@@ -161,8 +158,8 @@ private:
 /// RAII span handle. With a null sink every member is an inert branch;
 /// with a sink, the constructor stamps the start time and pushes the
 /// span onto a thread-local stack so children pick up their parent
-/// automatically. Pool workers, which start on a fresh stack, parent
-/// their spans explicitly via setParent().
+/// automatically. A span opened on another thread starts on a fresh
+/// stack and can be parented explicitly via setParent().
 class TraceSpan {
 public:
   /// \p Name must outlive the span (string literals only).

@@ -1,15 +1,17 @@
 //===- AccelTest.cpp - Oracle acceleration equivalence tests ---------------==//
 //
 // The acceleration layer must be invisible: any combination of prefix
-// checkpointing, verdict caching, and parallel batching has to reproduce
-// the plain oracle's searches bit for bit -- same suggestions in the same
-// ranked order, same logical-call totals -- while doing strictly less
-// inference. These tests pin that contract at three levels: the
-// InferenceCheckpoint primitive (rollback correctness), the
-// CheckpointedOracle (cache accounting), and whole runSeminal searches
-// across every acceleration configuration.
+// checkpointing and verdict caching has to reproduce the plain oracle's
+// searches bit for bit -- same suggestions in the same ranked order, same
+// logical-call totals -- while doing strictly less inference. These tests
+// pin that contract at three levels: the InferenceCheckpoint primitive
+// (rollback correctness), the CheckpointedOracle (cache accounting), and
+// whole runSeminal searches across every acceleration configuration,
+// each compared against the plain CamlOracle reference (ReferenceRun.h).
 //
 //===----------------------------------------------------------------------===//
+
+#include "ReferenceRun.h"
 
 #include "core/CheckpointedOracle.h"
 #include "core/Seminal.h"
@@ -113,13 +115,10 @@ std::string fingerprint(const SeminalReport &R) {
   return Out;
 }
 
-SeminalOptions withAccel(bool Checkpoint, bool VerdictCache,
-                         bool ParallelBatch) {
+SeminalOptions withAccel(bool Checkpoint, bool VerdictCache) {
   SeminalOptions Opts;
   Opts.Search.Accel.Checkpoint = Checkpoint;
   Opts.Search.Accel.VerdictCache = VerdictCache;
-  Opts.Search.Accel.ParallelBatch = ParallelBatch;
-  Opts.Search.Accel.Threads = ParallelBatch ? 4 : 0;
   return Opts;
 }
 
@@ -308,72 +307,38 @@ TEST(CheckpointedOracleTest, VerdictsMatchPlainOracleEverywhere) {
   }
 }
 
-TEST(CheckpointedOracleTest, BatchMatchesSequentialVerdicts) {
-  Program P = parse("let one = 1\nlet x = one + \"two\"");
-  NodePath Path(1);
-  Path.Steps = {1}; // The right operand of `one + "two"`.
-  ASSERT_NE(resolvePath(P, Path), nullptr);
-
-  std::vector<ExprPtr> Owned;
-  Owned.push_back(makeIntLit(2));         // fixes the program
-  Owned.push_back(makeStringLit("s"));    // still broken
-  Owned.push_back(makeIntLit(2));         // duplicate of [0]
-  Owned.push_back(makeWildcard());        // always checks
-  std::vector<const Expr *> Reps;
-  for (const auto &E : Owned)
-    Reps.push_back(E.get());
-
-  OracleAccelOptions Accel;
-  Accel.ParallelBatch = true;
-  Accel.Threads = 3;
-  CheckpointedOracle O(Accel);
-  ASSERT_TRUE(O.supportsBatch());
-  O.seedPrefix(P, 1);
-  std::vector<bool> Got = O.typecheckBatch(P, Path, Reps);
-  EXPECT_EQ(O.logicalCalls(), Reps.size());
-
-  CamlOracle Plain;
-  std::vector<bool> Want = Plain.typecheckBatch(P, Path, Reps);
-  EXPECT_EQ(Got, Want);
-  EXPECT_TRUE(Want[0] && !Want[1] && Want[2] && Want[3]);
-  // The duplicate and nothing else is deduped: 3 distinct candidates.
-  EXPECT_EQ(O.counters().CacheMisses, 3u);
-  EXPECT_EQ(O.counters().CacheHits, 1u);
-}
-
 //===----------------------------------------------------------------------===//
 // Whole-search equivalence across acceleration configurations
 //===----------------------------------------------------------------------===//
 
 struct AccelConfig {
   const char *Name;
-  bool Checkpoint, VerdictCache, ParallelBatch;
+  bool Checkpoint, VerdictCache;
 };
 
 const AccelConfig Configs[] = {
-    {"checkpoint-only", true, false, false},
-    {"cache-only", false, true, false},
-    {"checkpoint+cache", true, true, false},
-    {"parallel-only", false, false, true},
-    {"all-layers", true, true, true},
+    {"layers-off", false, false},
+    {"checkpoint-only", true, false},
+    {"cache-only", false, true},
+    {"checkpoint+cache", true, true},
 };
 
 TEST(AccelEquivalenceTest, AllConfigsReproduceTheUnacceleratedSearch) {
   for (const char *Src : ScenarioSources) {
-    SeminalReport Base =
-        runSeminalOnSource(Src, withAccel(false, false, false));
+    SeminalReport Base = plainReferenceOnSource(Src);
     std::string BaseFp = fingerprint(Base);
     EXPECT_EQ(Base.InferenceRuns, Base.OracleCalls) << Src;
 
     for (const AccelConfig &C : Configs) {
-      SeminalReport R = runSeminalOnSource(
-          Src, withAccel(C.Checkpoint, C.VerdictCache, C.ParallelBatch));
+      SeminalReport R =
+          runSeminalOnSource(Src, withAccel(C.Checkpoint, C.VerdictCache));
       EXPECT_EQ(fingerprint(R), BaseFp) << C.Name << " on:\n" << Src;
       EXPECT_EQ(R.OracleCalls, Base.OracleCalls)
           << C.Name << " changed the logical-call count on:\n" << Src;
       EXPECT_LE(R.InferenceRuns, R.OracleCalls) << C.Name;
-      if (C.VerdictCache || C.Checkpoint)
+      if (C.VerdictCache || C.Checkpoint) {
         EXPECT_LE(R.InferenceRuns, Base.InferenceRuns) << C.Name;
+      }
     }
   }
 }
@@ -396,23 +361,6 @@ TEST(AccelEquivalenceTest, DefaultConfigDoesStrictlyLessInference) {
   SeminalReport R2 = runSeminalOnSource(
       "let a = 1\nlet b = a + 1\nlet c = b + 1\nlet d = c + true\n");
   EXPECT_GT(R2.Accel.DeclInferencesSaved, 0u);
-}
-
-TEST(AccelEquivalenceTest, TriageHeavyCaseIsDeterministicUnderParallelism) {
-  // The multi-error triage scenario exercises batched waves inside triage
-  // contexts; run it repeatedly to shake out scheduling nondeterminism.
-  const char *Src = "let go y =\n"
-                    "  let x = 3 + true in\n"
-                    "  let z = y + 1 in\n"
-                    "  let w = 4 + \"hi\" in\n"
-                    "  z\n";
-  SeminalReport Base = runSeminalOnSource(Src, withAccel(false, false, false));
-  std::string BaseFp = fingerprint(Base);
-  for (int Round = 0; Round < 5; ++Round) {
-    SeminalReport R = runSeminalOnSource(Src, withAccel(true, true, true));
-    EXPECT_EQ(fingerprint(R), BaseFp) << "round " << Round;
-    EXPECT_EQ(R.OracleCalls, Base.OracleCalls) << "round " << Round;
-  }
 }
 
 } // namespace

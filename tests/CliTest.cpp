@@ -15,8 +15,10 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <sys/wait.h>
+#include <unistd.h>
 
 using namespace seminal;
 
@@ -86,4 +88,22 @@ TEST(CliStreamTest, BadUsageExitsTwo) {
   RunResult R = run(cli() + " --definitely-not-a-flag 2>/dev/null");
   EXPECT_EQ(R.ExitCode, 2);
   EXPECT_TRUE(R.Stdout.empty()) << "usage errors must not write stdout";
+}
+
+TEST(CliStreamTest, DeeplyNestedFileIsASyntaxError) {
+  // 100,000 nested parentheses: the parser's nesting bound turns what
+  // would exhaust the stack into an ordinary syntax error (exit 1).
+  char Path[] = "/tmp/seminal_cli_deep_XXXXXX";
+  int Fd = mkstemp(Path);
+  ASSERT_GE(Fd, 0);
+  std::string Source = "let x = " + std::string(100000, '(') + "1" +
+                       std::string(100000, ')') + "\n";
+  ASSERT_EQ(write(Fd, Source.data(), Source.size()), ssize_t(Source.size()));
+  close(Fd);
+  RunResult R = run(cli() + " " + Path + " 2>&1");
+  unlink(Path);
+  EXPECT_EQ(R.ExitCode, 1) << R.Stdout;
+  EXPECT_NE(R.Stdout.find("Syntax error"), std::string::npos) << R.Stdout;
+  EXPECT_NE(R.Stdout.find("nesting deeper than"), std::string::npos)
+      << R.Stdout;
 }

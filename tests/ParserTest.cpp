@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 using namespace seminal;
 using namespace seminal::caml;
 
@@ -320,6 +323,85 @@ TEST(ParserProgramTest, BadPathResolvesToNull) {
   EXPECT_EQ(resolvePath(P, Path), nullptr);
   NodePath Far(7);
   EXPECT_EQ(resolvePath(P, Far), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting bound: deep input is a located syntax error, not a stack overflow
+//===----------------------------------------------------------------------===//
+
+std::string repeat(const std::string &S, size_t N) {
+  std::string Out;
+  Out.reserve(S.size() * N);
+  for (size_t I = 0; I < N; ++I)
+    Out += S;
+  return Out;
+}
+
+TEST(ParserNestingTest, HundredThousandParensFailWithLocatedError) {
+  const size_t N = 100000;
+  ParseResult R =
+      parseProgram("let x = " + repeat("(", N) + "1" + repeat(")", N));
+  ASSERT_FALSE(R.ok());
+  ASSERT_TRUE(R.Error.has_value());
+  EXPECT_NE(R.Error->Message.find("nesting deeper than"), std::string::npos)
+      << R.Error->str();
+  // Reported at the token that crossed the bound, inside the parens.
+  EXPECT_EQ(R.Error->Loc.Line, 1u);
+  EXPECT_GT(R.Error->Loc.Col, 9u);
+  EXPECT_LT(R.Error->Loc.Col, 9u + N);
+}
+
+TEST(ParserNestingTest, EveryRecursiveFormIsBounded) {
+  // Each form nested far past the bound fails cleanly; the same form at a
+  // depth real programs could reach still parses.
+  struct Form {
+    const char *Name;
+    std::function<std::string(size_t)> Build;
+  };
+  const Form Forms[] = {
+      {"parens",
+       [](size_t N) { return "let x = " + repeat("(", N) + "1" + repeat(")", N); }},
+      {"lists",
+       [](size_t N) { return "let x = " + repeat("[", N) + "1" + repeat("]", N); }},
+      {"let-in",
+       [](size_t N) { return "let x = " + repeat("let y = 1 in ", N) + "y"; }},
+      {"if-else",
+       [](size_t N) { return "let x = " + repeat("if true then 1 else ", N) + "2"; }},
+      {"sequence",
+       [](size_t N) { return "let x = " + repeat("print_int 1; ", N) + "2"; }},
+      {"cons", [](size_t N) { return "let x = " + repeat("1 :: ", N) + "[]"; }},
+      {"concat",
+       [](size_t N) { return "let x = " + repeat("\"a\" ^ ", N) + "\"b\""; }},
+      {"assign",
+       [](size_t N) { return "let x = " + repeat("r := ", N) + "1"; }},
+      {"unary", [](size_t N) { return "let x = " + repeat("- ", N) + "1"; }},
+      {"raise",
+       [](size_t N) { return "let x = " + repeat("raise ", N) + "Not_found"; }},
+      {"patterns",
+       [](size_t N) {
+         return "let f " + repeat("(", N) + "x" + repeat(")", N) + " = x";
+       }},
+      {"cons-patterns",
+       [](size_t N) {
+         return "let f x = match x with " + repeat("a :: ", N) + "[] -> 1";
+       }},
+      {"types",
+       [](size_t N) {
+         return "exception E of " + repeat("(", N) + "int" + repeat(")", N);
+       }},
+      {"arrow-types",
+       [](size_t N) { return "exception E of " + repeat("int -> ", N) + "int"; }},
+  };
+  for (const Form &F : Forms) {
+    ParseResult Deep = parseProgram(F.Build(20000));
+    ASSERT_FALSE(Deep.ok()) << F.Name;
+    EXPECT_NE(Deep.Error->Message.find("nesting deeper than"),
+              std::string::npos)
+        << F.Name << ": " << Deep.Error->str();
+    ParseResult Shallow = parseProgram(F.Build(200));
+    EXPECT_TRUE(Shallow.ok())
+        << F.Name << ": " << (Shallow.Error ? Shallow.Error->str() : "");
+  }
 }
 
 } // namespace

@@ -368,6 +368,42 @@ TEST(ServerStdioTest, ServesJsonlStreams) {
   EXPECT_TRUE(SawCheck);
 }
 
+TEST(ServerStdioTest, DeepNestingIsAnErrorAndServingContinues) {
+  // 6,000 nested parentheses: without the parser's nesting bound they
+  // overflow the shard worker's stack and take every session down. The
+  // request must get a syntax-error reply and the next session's request
+  // must still be served.
+  ServerEngine Engine;
+  std::string Deep = "let x = " + std::string(6000, '(') + "1" +
+                     std::string(6000, ')');
+  std::string Input = "{\"method\":\"check\",\"id\":1,\"session\":\"deep\","
+                      "\"source\":\"" +
+                      jsonEscape(Deep) +
+                      "\"}\n"
+                      "{\"method\":\"check\",\"id\":2,\"session\":\"next\","
+                      "\"source\":\"" +
+                      jsonEscape(BaseSource) + "\"}\n";
+  std::istringstream In(Input);
+  std::ostringstream Out;
+  serveStdio(Engine, In, Out);
+
+  std::istringstream Lines(Out.str());
+  std::string Line;
+  std::vector<json::Value> Replies;
+  while (std::getline(Lines, Line))
+    Replies.push_back(parseReply(Line));
+  ASSERT_EQ(Replies.size(), 2u);
+  const json::Value *DeepReply = &Replies[0], *NextReply = &Replies[1];
+  if (DeepReply->getInt("id", 0) != 1)
+    std::swap(DeepReply, NextReply);
+  EXPECT_NE(DeepReply->getString("syntax_error").find("nesting deeper than"),
+            std::string::npos);
+  EXPECT_TRUE(NextReply->getBool("ok", false));
+  const json::Value *Suggestions = NextReply->member("suggestions");
+  ASSERT_TRUE(Suggestions && Suggestions->isArray());
+  EXPECT_FALSE(Suggestions->arrayValue().empty());
+}
+
 class SocketClient {
 public:
   explicit SocketClient(const std::string &Path) {

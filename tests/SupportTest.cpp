@@ -183,8 +183,6 @@ AccelCounters makeCounters(uint64_t Base) {
   C.DeclInferencesSaved = Base + 5;
   C.CheckpointSeeds = Base + 6;
   C.CheckpointFallbacks = Base + 7;
-  C.BatchesDispatched = Base + 8;
-  C.BatchItems = Base + 9;
   C.TypesAllocated = Base + 10;
   return C;
 }
@@ -202,8 +200,6 @@ TEST(AccelCountersTest, PlusEqualsSumsEveryField) {
   EXPECT_EQ(A.DeclInferencesSaved, 110u);
   EXPECT_EQ(A.CheckpointSeeds, 112u);
   EXPECT_EQ(A.CheckpointFallbacks, 114u);
-  EXPECT_EQ(A.BatchesDispatched, 116u);
-  EXPECT_EQ(A.BatchItems, 118u);
   EXPECT_EQ(A.TypesAllocated, 120u);
   EXPECT_EQ(A.inferenceRuns(), 106u + 108u);
   // B is untouched.
@@ -228,8 +224,6 @@ TEST(AccelCountersTest, ResetClearsEveryField) {
   EXPECT_EQ(A.DeclInferencesSaved, 0u);
   EXPECT_EQ(A.CheckpointSeeds, 0u);
   EXPECT_EQ(A.CheckpointFallbacks, 0u);
-  EXPECT_EQ(A.BatchesDispatched, 0u);
-  EXPECT_EQ(A.BatchItems, 0u);
   EXPECT_EQ(A.TypesAllocated, 0u);
   EXPECT_EQ(A.inferenceRuns(), 0u);
   // Reusable after reset.
@@ -279,51 +273,9 @@ TEST(MetricsTest, WriteJsonIsWellFormed) {
 }
 
 //===----------------------------------------------------------------------===//
-// ThreadPool (the only concurrency primitive in the tree; this suite is
-// what the CI TSan job points at)
+// ThreadPool (the daemon's per-shard FIFO queues; the CI TSan job runs
+// this suite)
 //===----------------------------------------------------------------------===//
-
-TEST(ThreadPoolTest, EveryItemRunsExactlyOnce) {
-  ThreadPool Pool(4);
-  constexpr size_t N = 1000;
-  std::vector<std::atomic<int>> Hits(N);
-  Pool.parallelFor(N, [&](unsigned, size_t I) { Hits[I].fetch_add(1); });
-  for (size_t I = 0; I < N; ++I)
-    EXPECT_EQ(Hits[I].load(), 1) << "item " << I;
-}
-
-TEST(ThreadPoolTest, WorkerIndexStaysInRange) {
-  ThreadPool Pool(3);
-  ASSERT_EQ(Pool.numThreads(), 3u);
-  std::atomic<bool> OutOfRange{false};
-  Pool.parallelFor(500, [&](unsigned Worker, size_t) {
-    if (Worker >= 3)
-      OutOfRange = true;
-  });
-  EXPECT_FALSE(OutOfRange.load());
-}
-
-TEST(ThreadPoolTest, PerIndexSlotsNeedNoLocking) {
-  // The batched oracle's usage pattern: disjoint result slots written
-  // concurrently, read after the barrier. TSan validates the
-  // parallelFor fence makes the unsynchronized writes safe.
-  ThreadPool Pool(4);
-  constexpr size_t N = 2000;
-  std::vector<size_t> Results(N, 0);
-  Pool.parallelFor(N, [&](unsigned, size_t I) { Results[I] = I * I; });
-  for (size_t I = 0; I < N; ++I)
-    EXPECT_EQ(Results[I], I * I);
-}
-
-TEST(ThreadPoolTest, ReusableAcrossCallsAndZeroItemsIsFine) {
-  ThreadPool Pool(2);
-  std::atomic<size_t> Total{0};
-  Pool.parallelFor(0, [&](unsigned, size_t) { Total.fetch_add(1); });
-  EXPECT_EQ(Total.load(), 0u);
-  for (int Round = 0; Round < 50; ++Round)
-    Pool.parallelFor(10, [&](unsigned, size_t) { Total.fetch_add(1); });
-  EXPECT_EQ(Total.load(), 500u);
-}
 
 TEST(ThreadPoolTest, PostedTasksRunFifoPerShard) {
   // The server's sharding contract: tasks posted to one shard run in
@@ -341,18 +293,6 @@ TEST(ThreadPoolTest, PostedTasksRunFifoPerShard) {
     for (size_t I = 0; I < PerShard; ++I)
       EXPECT_EQ(Order[Shard][I], I) << "shard " << Shard;
   }
-}
-
-TEST(ThreadPoolTest, PostedTasksCoexistWithParallelFor) {
-  ThreadPool Pool(3);
-  std::atomic<size_t> Posted{0};
-  std::atomic<size_t> Items{0};
-  for (size_t I = 0; I < 100; ++I)
-    Pool.post(I, [&] { Posted.fetch_add(1); });
-  Pool.parallelFor(100, [&](unsigned, size_t) { Items.fetch_add(1); });
-  Pool.drainPosted();
-  EXPECT_EQ(Posted.load(), 100u);
-  EXPECT_EQ(Items.load(), 100u);
 }
 
 TEST(ThreadPoolTest, DrainPostedWithNothingPostedReturns) {

@@ -6,8 +6,7 @@
 //      nothing about the search -- suggestions, logical-call counts, and
 //      ranking are byte-identical with tracing on or off.
 //   2. Completeness: every logical oracle call is one OracleCall span
-//      carrying layer / verdict / cache_hit attributes, in every
-//      acceleration configuration including the parallel batch path.
+//      carrying layer / verdict / cache_hit attributes.
 //
 // Plus exporter well-formedness (Chrome trace JSON, JSONL) and the
 // mechanics the instrumentation relies on (parenting, layer scopes,
@@ -66,16 +65,10 @@ const TraceAttr *findAttr(const TraceEvent &E, const char *Key) {
   return nullptr;
 }
 
-SeminalOptions tracedOptions(TraceSink *Sink, Metrics *M,
-                             bool Parallel = false) {
+SeminalOptions tracedOptions(TraceSink *Sink, Metrics *M) {
   SeminalOptions Opts;
   Opts.Search.Trace = Sink;
   Opts.Search.Metric = M;
-  if (Parallel) {
-    Opts.Search.Accel.ParallelBatch = true;
-    Opts.Search.Accel.Threads = 4;
-    Opts.Search.Accel.MinParallelItems = 2;
-  }
   return Opts;
 }
 
@@ -102,15 +95,6 @@ TEST(TracePurityTest, SuggestionsIdenticalWithTracingOnAndOff) {
   }
 }
 
-TEST(TracePurityTest, SuggestionsIdenticalUnderParallelBatchTracing) {
-  SeminalReport Plain = runSeminalOnSource(Fig2);
-  TraceSink Sink;
-  SeminalReport Traced = runSeminalOnSource(
-      Fig2, tracedOptions(&Sink, nullptr, /*Parallel=*/true));
-  EXPECT_EQ(suggestionDigest(Plain), suggestionDigest(Traced));
-  EXPECT_EQ(Plain.OracleCalls, Traced.OracleCalls);
-}
-
 //===----------------------------------------------------------------------===//
 // Contract 2: one OracleCall span per logical call, fully attributed
 //===----------------------------------------------------------------------===//
@@ -118,18 +102,6 @@ TEST(TracePurityTest, SuggestionsIdenticalUnderParallelBatchTracing) {
 TEST(TraceCompletenessTest, OneOracleCallSpanPerLogicalCall) {
   TraceSink Sink;
   SeminalReport R = runSeminalOnSource(Fig2, tracedOptions(&Sink, nullptr));
-
-  uint64_t OracleSpans = 0;
-  for (const TraceEvent &E : Sink.snapshot())
-    if (E.Kind == SpanKind::OracleCall)
-      ++OracleSpans;
-  EXPECT_EQ(OracleSpans, R.OracleCalls);
-}
-
-TEST(TraceCompletenessTest, OneSpanPerCallUnderParallelBatch) {
-  TraceSink Sink;
-  SeminalReport R = runSeminalOnSource(
-      Fig2, tracedOptions(&Sink, nullptr, /*Parallel=*/true));
 
   uint64_t OracleSpans = 0;
   for (const TraceEvent &E : Sink.snapshot())
@@ -227,16 +199,16 @@ TEST(TraceSpanTest, NestingParentsAutomatically) {
 
 TEST(TraceSpanTest, ExplicitParentOverridesStack) {
   TraceSink Sink;
-  uint64_t BatchId;
+  uint64_t OuterId;
   {
-    TraceSpan Batch(&Sink, SpanKind::OracleBatch, "batch");
-    BatchId = Batch.id();
+    TraceSpan Outer(&Sink, SpanKind::Other, "outer");
+    OuterId = Outer.id();
     TraceSpan Item(&Sink, SpanKind::OracleCall, "item");
-    Item.setParent(BatchId);
+    Item.setParent(OuterId);
   }
   auto Events = Sink.snapshot();
   ASSERT_EQ(Events.size(), 2u);
-  EXPECT_EQ(Events[0].Parent, BatchId);
+  EXPECT_EQ(Events[0].Parent, OuterId);
 }
 
 TEST(TraceSpanTest, ParentIdsResolveWithinStream) {
@@ -261,8 +233,7 @@ TEST(TraceSpanTest, ParentIdsResolveWithinStream) {
 
 TEST(TraceSpanTest, SequenceNumbersAreStrictlyIncreasing) {
   TraceSink Sink;
-  runSeminalOnSource(Fig2,
-                     tracedOptions(&Sink, nullptr, /*Parallel=*/true));
+  runSeminalOnSource(Fig2, tracedOptions(&Sink, nullptr));
   auto Events = Sink.snapshot();
   for (size_t I = 1; I < Events.size(); ++I)
     EXPECT_LT(Events[I - 1].Seq, Events[I].Seq);
