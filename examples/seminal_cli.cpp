@@ -554,8 +554,7 @@ int main(int Argc, char **Argv) {
       if (PR.ok())
         Run.SourceHash = caml::hashProgram(*PR.Prog);
     }
-    fillRunReport(Run, Report, &Telemetry, WallSeconds);
-    Run.Cost.CpuNs = CpuNs; // the measurer stamps the timing fields
+    fillRunReport(Run, Report, &Telemetry, WallSeconds, CpuNs);
 
     if (!TelemetryPath.empty()) {
       std::ofstream Out(TelemetryPath);

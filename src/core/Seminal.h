@@ -106,11 +106,11 @@ const char *suggestionLayer(const Suggestion &S);
 /// into \p R (obs/RunReport.h). Identity and quality fields are the
 /// caller's job (the corpus sweep knows the mutation ground truth; the
 /// CLI knows the file name). \p Telemetry, when non-null, supplies the
-/// per-layer candidate tallies; \p WallSeconds stamps the run's measured
-/// wall-clock.
+/// per-layer candidate tallies; \p WallSeconds and \p CpuNs stamp the
+/// run's measured wall-clock and thread CPU.
 void fillRunReport(obs::RunReport &R, const SeminalReport &Report,
                    const obs::TelemetrySink *Telemetry = nullptr,
-                   double WallSeconds = 0.0);
+                   double WallSeconds = 0.0, uint64_t CpuNs = 0);
 
 /// Runs search-based error-message generation on a parsed program.
 SeminalReport runSeminal(const caml::Program &Prog,

@@ -112,10 +112,12 @@ struct RunReport {
   uint64_t InferenceRuns = 0;
   uint64_t SlicePrunedCalls = 0;
   double WallSeconds = 0.0;
-  /// The request cost ledger (schema v2). The timing fields are
-  /// hardware-dependent and never gated; the logical fields mirror
-  /// Accel / OracleCalls by construction.
-  RequestCost Cost;
+  /// Thread CPU the run consumed, stamped by whoever measured it (0 =
+  /// not measured). Hardware-dependent and never gated. The JSON
+  /// "cost" object (schema v2) is rendered from this, WallSeconds,
+  /// OracleCalls, InferenceRuns and Accel; it holds no numbers of its
+  /// own.
+  uint64_t CpuNs = 0;
   /// Acceleration-layer counters for the run (cache hits, checkpoint
   /// reuse, arena occupancy).
   AccelCounters Accel;

@@ -18,8 +18,8 @@
 ///             "max_suggestions":8,"max_oracle_calls":200000,
 ///             "report":true}
 ///   reset    drop a session's warm state (checkpoints, caches, arena)
-///   stats    server-wide rollup (requests, sessions, warm-reuse totals,
-///            per-shard breakdown)
+///   stats    server-wide totals read from the OpsRegistry (requests,
+///            sessions, warm-reuse totals, cost, per-shard breakdown)
 ///   metrics  live ops snapshot from the OpsRegistry; default JSON,
 ///            {"format":"prometheus"} returns the text exposition as an
 ///            "exposition" string member

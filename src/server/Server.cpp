@@ -30,14 +30,12 @@ std::string ServerStats::renderJsonMembers() const {
      << ",\"sessions_created\":" << SessionsCreated
      << ",\"evictions\":" << Evictions << ",\"oracle_calls\":" << OracleCalls
      << ",\"inference_runs\":" << InferenceRuns
-     << ",\"cache_hits\":" << Accel.CacheHits
-     << ",\"cache_misses\":" << Accel.CacheMisses
-     << ",\"warm\":{\"prefix_hits\":" << Accel.SessionPrefixHits
-     << ",\"verdict_reuses\":" << Accel.SessionVerdictReuses
-     << ",\"seed_adoptions\":" << Accel.SessionSeedAdoptions
-     << ",\"conv_memo_hits\":" << Accel.SessionConvMemoHits << "}";
-  // The cost-ledger rollup, same field names as the RunReport's "cost"
-  // object so the reconciliation tooling compares them directly.
+     << ",\"cache_hits\":" << CacheHits
+     << ",\"cache_misses\":" << CacheMisses
+     << ",\"warm\":{\"prefix_hits\":" << Warm.PrefixHits
+     << ",\"verdict_reuses\":" << Warm.VerdictReuses
+     << ",\"seed_adoptions\":" << Warm.SeedAdoptions
+     << ",\"conv_memo_hits\":" << Warm.ConvMemoHits << "}";
   OS << ",\"cost\":{\"cpu_ns\":" << Cost.CpuNs
      << ",\"wall_ns\":" << Cost.WallNs
      << ",\"oracle_calls\":" << Cost.OracleCalls
@@ -84,13 +82,13 @@ std::string server::renderCheckResponse(const std::string &Id,
     << ",\"seed_adoptions\":" << O.Accel.SessionSeedAdoptions
     << ",\"conv_memo_hits\":" << O.Accel.SessionConvMemoHits
     << "},\"wall_seconds\":" << O.WallSeconds
-    << ",\"cost\":{\"cpu_ns\":" << O.Cost.CpuNs
-    << ",\"wall_ns\":" << O.Cost.WallNs
-    << ",\"oracle_calls\":" << O.Cost.OracleCalls
-    << ",\"inference_runs\":" << O.Cost.InferenceRuns
-    << ",\"arena_nodes\":" << O.Cost.ArenaNodes
-    << ",\"arena_bytes\":" << O.Cost.ArenaBytes
-    << ",\"verdict_cache_hits\":" << O.Cost.VerdictCacheHits
+    << ",\"cost\":{\"cpu_ns\":" << O.CpuNs
+    << ",\"wall_ns\":" << O.wallNs()
+    << ",\"oracle_calls\":" << O.OracleCalls
+    << ",\"inference_runs\":" << O.InferenceRuns
+    << ",\"arena_nodes\":" << O.Accel.ArenaNodes
+    << ",\"arena_bytes\":" << O.Accel.ArenaBytes
+    << ",\"verdict_cache_hits\":" << O.Accel.CacheHits
     << "},\"evicted\":" << (O.Evicted ? "true" : "false");
   if (!O.SlowTracePath.empty())
     M << ",\"slow_trace\":\"" << jsonEscape(O.SlowTracePath) << "\"";
@@ -188,6 +186,18 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
   Ops.WarmHits = &Registry.counter(
       "seminal_warm_hits_total",
       "Session warm-state reuses (prefix + verdict + seed + memo)");
+  Ops.WarmPrefixHits = &Registry.counter(
+      "seminal_warm_reuses_total", "Session warm-state reuses, by kind",
+      {{"kind", "prefix_hits"}});
+  Ops.WarmVerdictReuses = &Registry.counter(
+      "seminal_warm_reuses_total", "", {{"kind", "verdict_reuses"}});
+  Ops.WarmSeedAdoptions = &Registry.counter(
+      "seminal_warm_reuses_total", "", {{"kind", "seed_adoptions"}});
+  Ops.WarmConvMemoHits = &Registry.counter(
+      "seminal_warm_reuses_total", "", {{"kind", "conv_memo_hits"}});
+  Ops.CacheMisses = &Registry.counter(
+      "seminal_verdict_cache_misses_total",
+      "Verdict-cache lookups that ran inference, across checks");
   Ops.SlowTraces = &Registry.counter("seminal_slow_traces_total",
                                      "Requests that exported a slow trace");
   Ops.Sessions = &Registry.gauge("seminal_sessions", "Live sessions");
@@ -259,7 +269,7 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
 }
 
 ServerEngine::~ServerEngine() {
-  // Posted handlers reference the engine (stats rollup) and sessions;
+  // Posted handlers reference the engine (registry) and sessions;
   // run them all down before any member dies.
   Pool->drainPosted();
   Pool.reset();
@@ -278,7 +288,6 @@ std::shared_ptr<Session> ServerEngine::sessionFor(const std::string &Name) {
     return It->second;
   auto S = std::make_shared<Session>(Name, Opts.Session);
   Sessions.emplace(Name, S);
-  ++Stats.SessionsCreated;
   Ops.SessionsCreated->inc();
   Ops.Sessions->set(int64_t(Sessions.size()));
   return S;
@@ -290,13 +299,6 @@ void ServerEngine::finishCheck(const std::string &Id,
   bool NewSlowest = false;
   {
     sync::MutexLock Lock(Mutex);
-    ++Stats.Checks;
-    Stats.OracleCalls += Out.OracleCalls;
-    Stats.InferenceRuns += Out.InferenceRuns;
-    Stats.Accel += Out.Accel;
-    Stats.Cost += Out.Cost;
-    if (Out.Evicted)
-      ++Stats.Evictions;
     // Process-wide retained-bytes gauge, tracked as a sum of per-session
     // deltas so one request updates it in O(1).
     uint64_t &Prev = ArenaBySession[SessionName];
@@ -318,20 +320,26 @@ void ServerEngine::finishCheck(const std::string &Id,
                           {"session", obs::sanitizeRequestId(SessionName)},
                           {"shard", std::to_string(Shard)}});
   }
+  // The registry is the only server-wide rollup: stats() reads these
+  // same instruments back. Time counters are in microseconds (ns
+  // counters overflow dashboards' rate() windows).
+  uint64_t CpuUs = Out.CpuNs / 1000;
   Ops.Checks->inc();
   Ops.OracleCalls->inc(Out.OracleCalls);
   Ops.InferenceRuns->inc(Out.InferenceRuns);
-  // Ledger rollups: same numbers as Stats.Cost above, so the scrape and
-  // the stats verb reconcile by construction. Counters are in
-  // microseconds (ns counters overflow dashboards' rate() windows).
-  Ops.CostCpuUs->inc(Out.Cost.CpuNs / 1000);
-  Ops.CostWallUs->inc(Out.Cost.WallNs / 1000);
-  Ops.CostOracleCalls->inc(Out.Cost.OracleCalls);
-  Ops.CostInferenceRuns->inc(Out.Cost.InferenceRuns);
-  Ops.CostVerdictHits->inc(Out.Cost.VerdictCacheHits);
-  Ops.CostArenaNodes->set(int64_t(Out.Cost.ArenaNodes));
-  Ops.CostArenaBytes->set(int64_t(Out.Cost.ArenaBytes));
-  Ops.Shards[Shard].CpuUs->inc(Out.Cost.CpuNs / 1000);
+  Ops.CostCpuUs->inc(CpuUs);
+  Ops.CostWallUs->inc(Out.wallNs() / 1000);
+  Ops.CostOracleCalls->inc(Out.OracleCalls);
+  Ops.CostInferenceRuns->inc(Out.InferenceRuns);
+  Ops.CostVerdictHits->inc(Out.Accel.CacheHits);
+  Ops.CacheMisses->inc(Out.Accel.CacheMisses);
+  Ops.CostArenaNodes->set(int64_t(Out.Accel.ArenaNodes));
+  Ops.CostArenaBytes->set(int64_t(Out.Accel.ArenaBytes));
+  Ops.Shards[Shard].CpuUs->inc(CpuUs);
+  Ops.WarmPrefixHits->inc(Out.Accel.SessionPrefixHits);
+  Ops.WarmVerdictReuses->inc(Out.Accel.SessionVerdictReuses);
+  Ops.WarmSeedAdoptions->inc(Out.Accel.SessionSeedAdoptions);
+  Ops.WarmConvMemoHits->inc(Out.Accel.SessionConvMemoHits);
   uint64_t Warm = warmTotal(Out.Accel);
   if (Warm)
     Ops.WarmHits->inc(Warm);
@@ -340,7 +348,7 @@ void ServerEngine::finishCheck(const std::string &Id,
   if (!Out.SlowTracePath.empty())
     Ops.SlowTraces->inc();
   (Warm ? Ops.LatencyWarm : Ops.LatencyCold)->record(LatencyUs);
-  Ops.RequestCpuUs->record(Out.Cost.CpuNs / 1000);
+  Ops.RequestCpuUs->record(CpuUs);
   Ops.OracleCallsPerRequest->record(Out.OracleCalls);
 }
 
@@ -354,7 +362,7 @@ void ServerEngine::logCheck(const std::string &Id,
       .str("session", SessionName)
       .num("shard", uint64_t(Shard))
       .real("latency_ms", double(LatencyUs) / 1000.0)
-      .real("cpu_ms", double(Out.Cost.CpuNs) / 1e6)
+      .real("cpu_ms", double(Out.CpuNs) / 1e6)
       .num("oracle_calls", Out.OracleCalls)
       .num("inference_runs", Out.InferenceRuns)
       .num("warm_hits", warmTotal(Out.Accel))
@@ -369,18 +377,10 @@ void ServerEngine::logCheck(const std::string &Id,
 
 void ServerEngine::submit(const std::string &Line, ReplyFn Reply) {
   auto Submitted = std::chrono::steady_clock::now();
-  {
-    sync::MutexLock Lock(Mutex);
-    ++Stats.Requests;
-  }
   Ops.Requests->inc();
   Request R = parseRequest(Line);
   switch (R.TheMethod) {
   case Request::Method::Invalid: {
-    {
-      sync::MutexLock Lock(Mutex);
-      ++Stats.Malformed;
-    }
     Ops.Malformed->inc();
     if (Opts.Log && Opts.Log->enabled(obs::LogLevel::Warn))
       Opts.Log->warn(
@@ -389,10 +389,6 @@ void ServerEngine::submit(const std::string &Line, ReplyFn Reply) {
     return;
   }
   case Request::Method::Ping: {
-    {
-      sync::MutexLock Lock(Mutex);
-      ++Stats.Pings;
-    }
     Ops.Pings->inc();
     if (Opts.Log && Opts.Log->enabled(obs::LogLevel::Debug))
       Opts.Log->debug(obs::LogEvent("ping").str("id", R.Id));
@@ -466,10 +462,6 @@ void ServerEngine::submit(const std::string &Line, ReplyFn Reply) {
       auto RunStart = std::chrono::steady_clock::now();
       S->reset();
       SI.BusyUs->inc(microsSince(RunStart));
-      {
-        sync::MutexLock Lock(Mutex);
-        ++Stats.Resets;
-      }
       Ops.Resets->inc();
       if (Opts.Log && Opts.Log->enabled(obs::LogLevel::Info))
         Opts.Log->info(obs::LogEvent("reset")
@@ -538,13 +530,31 @@ std::string ServerEngine::handle(const std::string &Line) {
 void ServerEngine::drain() { Pool->drainPosted(); }
 
 ServerStats ServerEngine::stats() const {
+  // Every member reads a registry instrument -- the same atomics
+  // /metrics scrapes -- so both views always agree.
   ServerStats Out;
-  {
-    sync::MutexLock Lock(Mutex);
-    Out = Stats;
-  }
-  // The shard breakdown reads the registry instruments directly -- the
-  // same atomics /metrics scrapes -- so both views always agree.
+  Out.Requests = Ops.Requests->value();
+  Out.Checks = Ops.Checks->value();
+  Out.Resets = Ops.Resets->value();
+  Out.Pings = Ops.Pings->value();
+  Out.Malformed = Ops.Malformed->value();
+  Out.SessionsCreated = Ops.SessionsCreated->value();
+  Out.Evictions = Ops.Evictions->value();
+  Out.OracleCalls = Ops.OracleCalls->value();
+  Out.InferenceRuns = Ops.InferenceRuns->value();
+  Out.CacheHits = Ops.CostVerdictHits->value();
+  Out.CacheMisses = Ops.CacheMisses->value();
+  Out.Warm.PrefixHits = Ops.WarmPrefixHits->value();
+  Out.Warm.VerdictReuses = Ops.WarmVerdictReuses->value();
+  Out.Warm.SeedAdoptions = Ops.WarmSeedAdoptions->value();
+  Out.Warm.ConvMemoHits = Ops.WarmConvMemoHits->value();
+  Out.Cost.CpuNs = Ops.CostCpuUs->value() * 1000;
+  Out.Cost.WallNs = Ops.CostWallUs->value() * 1000;
+  Out.Cost.OracleCalls = Ops.CostOracleCalls->value();
+  Out.Cost.InferenceRuns = Ops.CostInferenceRuns->value();
+  Out.Cost.ArenaNodes = uint64_t(Ops.CostArenaNodes->value());
+  Out.Cost.ArenaBytes = uint64_t(Ops.CostArenaBytes->value());
+  Out.Cost.VerdictCacheHits = Ops.CostVerdictHits->value();
   Out.Shards.resize(Ops.Shards.size());
   for (size_t S = 0; S < Ops.Shards.size(); ++S) {
     Out.Shards[S].Requests = Ops.Shards[S].Requests->value();

@@ -16,7 +16,7 @@
 ///     is deterministic; requests of different sessions proceed in
 ///     parallel without contention.
 ///   * ping/stats/shutdown are answered inline (they only read the
-///     rollup or flip the shutdown flag).
+///     registry or flip the shutdown flag).
 ///
 /// Replies are delivered through a callback, possibly on a pool worker;
 /// transports serialize writes themselves. The engine never drops a
@@ -79,30 +79,46 @@ struct ServerOptions {
   obs::SloConfig Slo;
 };
 
-/// Server-wide rollup, updated after every request and served by the
-/// "stats" method. All counters are totals since the engine started.
+/// A snapshot of the engine's OpsRegistry, taken by ServerEngine::stats()
+/// and served by the "stats" method. Each member is the value of the
+/// registry instrument named beside it, so stats and /metrics agree by
+/// construction. All counters are totals since the engine started.
 struct ServerStats {
-  uint64_t Requests = 0;
-  uint64_t Checks = 0;
-  uint64_t Resets = 0;
-  uint64_t Pings = 0;
-  uint64_t Malformed = 0;
-  uint64_t SessionsCreated = 0;
-  uint64_t Evictions = 0;
-  uint64_t OracleCalls = 0;
-  uint64_t InferenceRuns = 0;
-  /// Acceleration counters accumulated across every check of every
-  /// session (per-request counters are scoped by runSeminalWithOracle;
-  /// this is their sum, the satellite's "ServerStats rollup").
-  AccelCounters Accel;
-  /// Cost-ledger rollup: the sum of every check's RequestCost, i.e. the
-  /// same numbers the seminal_cost_* instrument families carry (the
-  /// reconciliation CI gate pins scrape == stats == per-request sums).
-  RequestCost Cost;
+  uint64_t Requests = 0;        ///< seminal_requests_total
+  uint64_t Checks = 0;          ///< seminal_checks_total
+  uint64_t Resets = 0;          ///< seminal_resets_total
+  uint64_t Pings = 0;           ///< seminal_pings_total
+  uint64_t Malformed = 0;       ///< seminal_malformed_total
+  uint64_t SessionsCreated = 0; ///< seminal_sessions_created_total
+  uint64_t Evictions = 0;       ///< seminal_evictions_total
+  uint64_t OracleCalls = 0;     ///< seminal_oracle_calls_total
+  uint64_t InferenceRuns = 0;   ///< seminal_inference_runs_total
+  uint64_t CacheHits = 0;   ///< seminal_cost_verdict_cache_hits_total
+  uint64_t CacheMisses = 0; ///< seminal_verdict_cache_misses_total
 
-  /// Per-shard breakdown, read from the same OpsRegistry instruments
-  /// the /metrics exposition serves, so the two views reconcile by
-  /// construction.
+  /// Session warm-state reuse ("warm"): seminal_warm_reuses_total,
+  /// one series per kind.
+  struct WarmStats {
+    uint64_t PrefixHits = 0;
+    uint64_t VerdictReuses = 0;
+    uint64_t SeedAdoptions = 0;
+    uint64_t ConvMemoHits = 0;
+  } Warm;
+
+  /// The cost-ledger totals ("cost"), field names as in the RunReport's
+  /// "cost" object. The times are the registry's microsecond counters
+  /// times 1000, so they have microsecond resolution.
+  struct CostStats {
+    uint64_t CpuNs = 0;            ///< seminal_cost_cpu_us_total x 1000
+    uint64_t WallNs = 0;           ///< seminal_cost_wall_us_total x 1000
+    uint64_t OracleCalls = 0;      ///< seminal_cost_oracle_calls_total
+    uint64_t InferenceRuns = 0;    ///< seminal_cost_inference_runs_total
+    uint64_t ArenaNodes = 0;       ///< seminal_cost_arena_nodes
+    uint64_t ArenaBytes = 0;       ///< seminal_cost_arena_bytes
+    uint64_t VerdictCacheHits = 0; ///< seminal_cost_verdict_cache_hits_total
+  } Cost;
+
+  /// Per-shard breakdown (seminal_shard_*{shard="N"}).
   struct ShardStats {
     uint64_t Requests = 0;   ///< check+reset requests served here.
     int64_t QueueDepth = 0;  ///< Posted but not yet started.
@@ -134,7 +150,7 @@ public:
   /// Blocks until every posted request has been served.
   void drain();
 
-  /// Snapshot of the rollup.
+  /// Reads the registry into a ServerStats.
   ServerStats stats() const;
 
   /// A shutdown request was received; transports should stop accepting
@@ -187,6 +203,12 @@ private:
     obs::OpsCounter *OracleCalls = nullptr;
     obs::OpsCounter *InferenceRuns = nullptr;
     obs::OpsCounter *WarmHits = nullptr;
+    /// One series per warm-reuse kind; WarmHits is their sum.
+    obs::OpsCounter *WarmPrefixHits = nullptr;
+    obs::OpsCounter *WarmVerdictReuses = nullptr;
+    obs::OpsCounter *WarmSeedAdoptions = nullptr;
+    obs::OpsCounter *WarmConvMemoHits = nullptr;
+    obs::OpsCounter *CacheMisses = nullptr;
     obs::OpsCounter *SlowTraces = nullptr;
     obs::OpsGauge *Sessions = nullptr;
     obs::OpsGauge *ArenaBytes = nullptr;
@@ -240,7 +262,6 @@ private:
   /// High-water latency for the slowest-request exemplar; the gauge and
   /// info labels are republished only when a check beats this.
   uint64_t SlowestLatencyUs SEMINAL_GUARDED_BY(Mutex) = 0;
-  ServerStats Stats SEMINAL_GUARDED_BY(Mutex);
   std::atomic<bool> Shutdown{false};
 };
 

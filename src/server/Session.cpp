@@ -47,10 +47,7 @@ void Session::rebuildOracle() {
   Oracle->setSessionRetention(true);
 }
 
-void Session::reset() {
-  ++Requests;
-  rebuildOracle();
-}
+void Session::reset() { rebuildOracle(); }
 
 CheckOutcome Session::check(const std::string &Source,
                             const CheckOptions &Opts) {
@@ -60,7 +57,6 @@ CheckOutcome Session::check(const std::string &Source,
   // this thread and nothing else does (DESIGN.md section 16).
   uint64_t CpuStart = prof::threadCpuNs();
   CheckOutcome Out;
-  ++Requests;
   ++Checks;
 
   caml::ParseResult PR = caml::parseProgram(Source);
@@ -76,7 +72,6 @@ CheckOutcome Session::check(const std::string &Source,
     RunOpts.MaxSuggestions = Opts.MaxSuggestions;
   if (Opts.MaxOracleCalls)
     RunOpts.Search.MaxOracleCalls = Opts.MaxOracleCalls;
-  RunOpts.Search.Metric = &SessionMetrics;
 
   // Tail sampling: record every request when enabled, export only the
   // slow ones (the decision needs the wall time, which exists only
@@ -119,33 +114,17 @@ CheckOutcome Session::check(const std::string &Source,
   Out.WallSeconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - Start)
                         .count();
-
-  // Ledger: measured here, where both clocks were stamped, so the
-  // RunReport, the outcome (-> protocol response, engine rollups) and
-  // the session total all carry the same numbers.
-  Out.Cost.CpuNs = prof::threadCpuNs() - CpuStart;
-  Out.Cost.WallNs = uint64_t(Out.WallSeconds * 1e9);
-  Out.Cost.OracleCalls = R.OracleCalls;
-  Out.Cost.InferenceRuns = R.InferenceRuns;
-  Out.Cost.ArenaNodes = R.Accel.ArenaNodes;
-  Out.Cost.ArenaBytes = R.Accel.ArenaBytes;
-  Out.Cost.VerdictCacheHits = R.Accel.CacheHits;
+  Out.CpuNs = prof::threadCpuNs() - CpuStart;
 
   if (Opts.WantReport) {
     obs::RunReport Run;
     Run.ProgramId = Name + "#" + std::to_string(Checks);
     Run.SourceHash = caml::hashProgram(*PR.Prog);
-    fillRunReport(Run, R, /*Telemetry=*/nullptr, Out.WallSeconds);
-    Run.Cost = Out.Cost; // same ledger everywhere, by construction
+    fillRunReport(Run, R, /*Telemetry=*/nullptr, Out.WallSeconds, Out.CpuNs);
     std::ostringstream OS;
     Run.writeJson(OS);
     Out.ReportJson = OS.str();
   }
-
-  Accumulated += R.Accel;
-  AccumulatedCost += Out.Cost;
-  TotalOracleCalls += R.OracleCalls;
-  TotalInferenceRuns += R.InferenceRuns;
 
   // Eviction check. Suggestions hold lazily-materialized programs that
   // reference the arena; drop the report (everything the response needs
@@ -154,7 +133,6 @@ CheckOutcome Session::check(const std::string &Source,
   R = SeminalReport();
   if (Oracle->arena()->stats().Bytes > Config.ArenaEvictBytes) {
     rebuildOracle();
-    ++Evictions;
     Out.Evicted = true;
   }
   Out.ArenaBytes = Oracle->arena()->stats().Bytes;

@@ -6,17 +6,17 @@
 ///
 /// \file
 /// A Session is the unit of warm-state reuse in the search daemon: one
-/// long-lived CheckpointedOracle in session-retention mode, its shared
-/// hash-consing arena, and a per-session Metrics sink. Requests from the
-/// same editor hit the same Session, so an edit-resubmit re-adopts the
-/// previous request's prefix checkpoint and verdict cache instead of
-/// re-inferring from scratch (CheckpointedOracle.h's server-mode notes).
+/// long-lived CheckpointedOracle in session-retention mode and its shared
+/// hash-consing arena. Requests from the same editor hit the same
+/// Session, so an edit-resubmit re-adopts the previous request's prefix
+/// checkpoint and verdict cache instead of re-inferring from scratch
+/// (CheckpointedOracle.h's server-mode notes).
 ///
-/// Scoping rules (DESIGN.md section 13): AccelCounters are per-request
-/// -- runSeminalWithOracle resets them at entry and the Session folds
-/// each request's counters into its own rollup; Metrics are per-session
-/// (one sink per Session, never shared across sessions); the arena is
-/// per-session and persists across requests until the eviction
+/// Counter scoping (DESIGN.md section 13): a Session keeps no counters
+/// of its own. runSeminalWithOracle resets the oracle's counters at
+/// entry, so a CheckOutcome describes exactly one request; the server
+/// engine folds outcomes into its OpsRegistry, the only rollup. The
+/// arena is per-session and persists across requests until the eviction
 /// watermark. A Session is single-threaded by construction: the server
 /// pins it to one ThreadPool shard and its requests run FIFO there, so
 /// no member needs a lock.
@@ -35,7 +35,6 @@
 
 #include "core/Seminal.h"
 #include "obs/SlowTraceRing.h"
-#include "support/Metrics.h"
 #include "support/Stats.h"
 
 #include <cstdint>
@@ -96,17 +95,19 @@ struct CheckOutcome {
   };
   std::vector<RenderedSuggestion> Suggestions;
 
+  // The request's cost ledger (DESIGN.md section 16): the response's
+  // and the RunReport's "cost" objects are rendered from these fields.
   uint64_t OracleCalls = 0;
   uint64_t InferenceRuns = 0;
   /// Per-request acceleration counters (includes the Session* warm-reuse
   /// fields that the protocol surfaces as "warm").
   AccelCounters Accel;
   double WallSeconds = 0.0;
-  /// The request's cost ledger (DESIGN.md section 16). CpuNs is exact:
-  /// the session runs confined to one shard worker, so a thread-CPU
-  /// clock delta around the check is the request's CPU. The logical
-  /// fields mirror Accel / OracleCalls by construction.
-  RequestCost Cost;
+  uint64_t wallNs() const { return uint64_t(WallSeconds * 1e9); }
+  /// Thread CPU the check consumed. Exact: the session runs confined to
+  /// one shard worker, so a thread-CPU clock delta around the check is
+  /// the request's CPU.
+  uint64_t CpuNs = 0;
   /// Compact RunReport JSON (empty unless CheckOptions::WantReport).
   std::string ReportJson;
   /// The arena watermark was crossed and the session went cold.
@@ -130,19 +131,8 @@ public:
   CheckOutcome check(const std::string &Source, const CheckOptions &Opts);
 
   /// Drops all warm state (retained checkpoints, verdict caches, memos,
-  /// arena contents). The session identity and rollup counters survive.
+  /// arena contents). The session identity survives.
   void reset();
-
-  // Rollup (read by the server's stats method) -------------------------
-  const AccelCounters &accumulated() const { return Accumulated; }
-  /// Sum of every check's ledger (operator+= keeps arena levels latest).
-  const RequestCost &accumulatedCost() const { return AccumulatedCost; }
-  uint64_t requests() const { return Requests; }
-  uint64_t checks() const { return Checks; }
-  uint64_t evictions() const { return Evictions; }
-  uint64_t totalOracleCalls() const { return TotalOracleCalls; }
-  uint64_t totalInferenceRuns() const { return TotalInferenceRuns; }
-  const Metrics &metrics() const { return SessionMetrics; }
 
 private:
   /// (Re)creates the oracle, reusing the arena storage when this session
@@ -152,17 +142,8 @@ private:
   std::string Name;
   SessionConfig Config;
   std::unique_ptr<CheckpointedOracle> Oracle;
-  /// Per-session metric sink (satellite scoping rule: metrics never
-  /// bleed across sessions).
-  Metrics SessionMetrics;
-
-  AccelCounters Accumulated;
-  RequestCost AccumulatedCost;
-  uint64_t Requests = 0;
+  /// Checks run so far; names the RunReport ("name#N").
   uint64_t Checks = 0;
-  uint64_t Evictions = 0;
-  uint64_t TotalOracleCalls = 0;
-  uint64_t TotalInferenceRuns = 0;
 };
 
 } // namespace server

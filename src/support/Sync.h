@@ -116,7 +116,7 @@ namespace sync {
 /// Low rank = outermost. Gaps are deliberate room for future layers.
 enum class LockRank : uint16_t {
   ServerConn = 10,    ///< UnixSocketServer connection registry.
-  ServerEngine = 20,  ///< ServerEngine session table + stats rollup.
+  ServerEngine = 20,  ///< ServerEngine session table + arena gauges.
   ServerWrite = 30,   ///< Per-connection / per-stream reply writers.
   ThreadPool = 40,    ///< support/ThreadPool shard queues.
   Telemetry = 50,     ///< obs/TelemetrySink outcome records.
