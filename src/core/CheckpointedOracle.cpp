@@ -34,7 +34,6 @@ void CheckpointedOracle::setSessionRetention(bool Enabled) {
 void CheckpointedOracle::primeConventional(std::string Source) {
   CurrentSource = std::move(Source);
   HaveCurrentSource = true;
-  WalkIds.clear();
 }
 
 void CheckpointedOracle::resetSession() {
@@ -44,8 +43,7 @@ void CheckpointedOracle::resetSession() {
   HaveCurrentSource = false;
   SeedPrefixIds.clear();
   SeedFailingId = AstArena::InvalidId;
-  WalkIds.clear();
-  resetGrowth();
+  endWalk();
   ConvClone = Program();
   HasConvMemo = false;
   ConvOk = false;
@@ -78,8 +76,7 @@ bool CheckpointedOracle::convMemoApplies(const Program &Prog) const {
 
 std::optional<TypeError>
 CheckpointedOracle::conventionalError(const Program &Prog) {
-  WalkIds.clear(); // Request boundary: Work pointers from the previous
-                   // run's localization walk are gone.
+  endWalk(); // Request boundary: the previous run's walk hint expires.
   // Session fast path: an edit past the failing declaration cannot change
   // the diagnostic (the checker aborts at the first error), so replay it.
   if (SessionRetention && SessionConv.Valid && HaveCurrentSource &&
@@ -131,6 +128,12 @@ CheckpointedOracle::conventionalError(const Program &Prog) {
 }
 
 void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
+  // An environment the hinted walk grew over this very program covers
+  // its first Growth->prefixLength() declarations; take it before
+  // clearPrefix() ends the walk.
+  std::unique_ptr<InferenceCheckpoint> Grown;
+  if (WalkProg == &Prog)
+    Grown = std::move(Growth);
   clearPrefix();
   if (EditedDecl >= Prog.Decls.size())
     return;
@@ -155,28 +158,17 @@ void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
   }
 
   // If localization just grew an environment that covers exactly this
-  // prefix, adopt it -- seeding costs nothing. Structural equality is the
-  // validity condition; on any mismatch fall through to a fresh snapshot.
-  if (Accel.Checkpoint && Growth && Growth->prefixLength() == EditedDecl &&
-      GrowthClones.size() == EditedDecl) {
-    bool Match = true;
-    for (unsigned I = 0; I < EditedDecl; ++I)
-      if (!Prog.Decls[I]->equals(*GrowthClones[I])) {
-        Match = false;
-        break;
-      }
-    if (Match) {
-      Checkpoint = std::move(Growth);
-      PrefixClone.Decls = std::move(GrowthClones);
-      resetGrowth();
-      ++Counters.CheckpointSeeds;
-      // The environment came from this request's walk, but last
-      // request's verdicts are conditioned on this same prefix -- take
-      // them too.
-      if (SessionMatch)
-        adoptRetainedCaches();
-      return;
-    }
+  // prefix, adopt it -- seeding costs nothing. The walk hint is the
+  // validity condition: the walk only appended to Prog, so its first
+  // EditedDecl declarations are the ones the environment committed.
+  if (Accel.Checkpoint && Grown && Grown->prefixLength() == EditedDecl) {
+    Checkpoint = std::move(Grown);
+    ++Counters.CheckpointSeeds;
+    // The environment came from this request's walk, but last request's
+    // verdicts are conditioned on this same prefix -- take them too.
+    if (SessionMatch)
+      adoptRetainedCaches();
+    return;
   }
 
   // Session adoption: the previous request seeded this exact prefix and
@@ -185,17 +177,11 @@ void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
   if (SessionMatch && Retained.Checkpoint &&
       Retained.Checkpoint->prefixLength() == EditedDecl) {
     Checkpoint = std::move(Retained.Checkpoint);
-    PrefixClone = std::move(Retained.PrefixClone);
     ++Counters.CheckpointSeeds;
     adoptRetainedCaches();
     return;
   }
 
-  if (SessionRetention) {
-    PrefixClone.Decls.reserve(EditedDecl);
-    for (unsigned I = 0; I < EditedDecl; ++I)
-      PrefixClone.Decls.push_back(Prog.Decls[I]->clone());
-  }
   if (Accel.Checkpoint) {
     Checkpoint = InferenceCheckpoint::create(Prog, EditedDecl);
     if (Checkpoint)
@@ -220,7 +206,6 @@ void CheckpointedOracle::stashSessionState() {
   Retained.PrefixIds = std::move(SeedPrefixIds);
   Retained.FailingId = SeedFailingId;
   Retained.Checkpoint = std::move(Checkpoint);
-  Retained.PrefixClone = std::move(PrefixClone);
   for (auto &KV : VerdictById)
     KV.second |= RetainedBit;
   Retained.Verdicts = std::move(VerdictById);
@@ -232,19 +217,24 @@ void CheckpointedOracle::clearPrefix() {
   Seeded = false;
   EditedIndex = 0;
   PrefixIdentity.clear();
-  PrefixClone = Program();
   Checkpoint.reset();
   // Verdicts are relative to the prefix environment, so they go; the
   // arena's interned nodes stay valid across prefixes (and requests).
   VerdictById.clear();
   SeedPrefixIds.clear();
   SeedFailingId = AstArena::InvalidId;
-  WalkIds.clear();
+  endWalk();
 }
 
-void CheckpointedOracle::resetGrowth() {
+void CheckpointedOracle::beginPrefixWalk(const Program &Prog) {
+  endWalk();
+  WalkProg = &Prog;
+}
+
+void CheckpointedOracle::endWalk() {
+  WalkProg = nullptr;
   Growth.reset();
-  GrowthClones.clear();
+  WalkIds.clear();
 }
 
 bool CheckpointedOracle::growthExtend(const Decl &D, bool &Verdict) {
@@ -259,12 +249,10 @@ bool CheckpointedOracle::growthExtend(const Decl &D, bool &Verdict) {
   size_t Allocated = 0;
   Verdict = Growth->extendWith(D, &Allocated);
   Counters.TypesAllocated += Allocated;
-  if (Verdict)
-    GrowthClones.push_back(D.clone());
-  else if (D.kind() != Decl::Kind::Let)
+  if (!Verdict && D.kind() != Decl::Kind::Let)
     // A failed type/exception declaration may leave partial constructor
     // table entries behind; the environment can no longer be trusted.
-    resetGrowth();
+    Growth.reset();
   return true;
 }
 
@@ -275,23 +263,16 @@ bool CheckpointedOracle::trySessionProbe(const Program &Prog, bool &Verdict) {
   const size_t P = Retained.PrefixIds.size();
   if (N == 0 || N > P + 1)
     return false;
-  // Intern the probe's declarations through the walk memo: the searcher
-  // appends one declaration per localization round and never mutates the
-  // earlier ones, so every round interns exactly one new tree.
-  for (size_t I = 0; I < N; ++I) {
-    const Decl *D = Prog.Decls[I].get();
-    if (I < WalkIds.size() && WalkIds[I].first == D)
-      continue;
-    WalkIds.resize(I);
-    WalkIds.emplace_back(D, TheArena->internDecl(*D));
-  }
+  // The hinted walk only appends, so the ids interned for earlier probes
+  // still name the same declarations: each probe interns one new tree.
+  while (WalkIds.size() < N)
+    WalkIds.push_back(TheArena->internDecl(*Prog.Decls[WalkIds.size()]));
   syncArenaStats();
   // Everything but (possibly) the last declaration must match the
   // retained known-good prefix; an interior divergence means this is not
   // a walk over the program the session knows.
   size_t Match = 0;
-  while (Match < N && Match < P &&
-         WalkIds[Match].second == Retained.PrefixIds[Match])
+  while (Match < N && Match < P && WalkIds[Match] == Retained.PrefixIds[Match])
     ++Match;
   if (Match + 1 < N)
     return false;
@@ -303,7 +284,7 @@ bool CheckpointedOracle::trySessionProbe(const Program &Prog, bool &Verdict) {
     Verdict = true;
     return true;
   }
-  const AstArena::DeclId LastId = WalkIds[N - 1].second;
+  const AstArena::DeclId LastId = WalkIds[N - 1];
   if (N == P + 1 && LastId == Retained.FailingId) {
     // The previous request proved exactly this declaration fails on top
     // of exactly this prefix.
@@ -325,21 +306,14 @@ bool CheckpointedOracle::trySessionProbe(const Program &Prog, bool &Verdict) {
     // growth environment directly (its verdict cache stays retained: if
     // the edited declaration still fails, seedPrefix re-adopts it).
     Growth = std::move(Retained.Checkpoint);
-    GrowthClones = std::move(Retained.PrefixClone.Decls);
-    Retained.PrefixClone = Program();
     return growthExtend(*Prog.Decls[N - 1], Verdict);
   }
   // Prefix edit: the declarations before the divergence are known good,
   // so snapshot them in one pass and grow from there. (Cold behavior
   // here would re-infer the full prefix on every remaining probe.)
-  auto Rebuilt = InferenceCheckpoint::create(Prog, unsigned(N - 1));
-  if (!Rebuilt)
+  Growth = InferenceCheckpoint::create(Prog, unsigned(N - 1));
+  if (!Growth)
     return false;
-  Growth = std::move(Rebuilt);
-  GrowthClones.clear();
-  GrowthClones.reserve(N - 1);
-  for (size_t I = 0; I + 1 < N; ++I)
-    GrowthClones.push_back(Prog.Decls[I]->clone());
   return growthExtend(*Prog.Decls[N - 1], Verdict);
 }
 
@@ -348,21 +322,13 @@ bool CheckpointedOracle::tryGrowthPath(const Program &Prog, bool &Verdict) {
     return false;
   const size_t N = Prog.Decls.size();
   // The grown prefix plus exactly one new declaration? (The localization
-  // loop asks precisely this, one declaration longer per call.)
-  if (Growth && N == GrowthClones.size() + 1) {
-    bool Match = true;
-    for (size_t I = 0; I + 1 < N; ++I)
-      if (!Prog.Decls[I]->equals(*GrowthClones[I])) {
-        Match = false;
-        break;
-      }
-    if (Match)
-      return growthExtend(*Prog.Decls[N - 1], Verdict);
-  }
+  // loop asks precisely this, one declaration longer per call.) The walk
+  // only appends, so the length alone says so -- no tree is compared.
+  if (Growth && N == size_t(Growth->prefixLength()) + 1)
+    return growthExtend(*Prog.Decls[N - 1], Verdict);
   if (N == 1) {
     // A fresh localization walk starts here: snapshot the bare standard
     // library (prefix length zero never fails) and grow from it.
-    resetGrowth();
     Growth = InferenceCheckpoint::create(Prog, 0);
     if (!Growth)
       return false;
@@ -419,10 +385,11 @@ bool CheckpointedOracle::typecheckImpl(const Program &Prog) {
       LastCacheHit = true;
       return ConvOk;
     }
+    // Walk state serves only the hinted walk's own probes; any other
+    // caller gets full inference below.
     bool Verdict;
-    if (trySessionProbe(Prog, Verdict))
-      return Verdict;
-    if (tryGrowthPath(Prog, Verdict))
+    if (&Prog == WalkProg &&
+        (trySessionProbe(Prog, Verdict) || tryGrowthPath(Prog, Verdict)))
       return Verdict;
     if (Seeded)
       ++Counters.CheckpointFallbacks;

@@ -34,9 +34,14 @@
 /// persistent environment one committed declaration at a time instead of
 /// re-inferring the prefix from scratch each round -- and the grown
 /// environment is then adopted as the seed checkpoint, making seeding
-/// free. The initial whole-program check reuses the conventionalError()
-/// verdict (confirmed by deep equality) instead of running inference
-/// twice on the same program.
+/// free. The loop announces itself with beginPrefixWalk(): the probes are
+/// one Program object that the caller only appends to, so a probe one
+/// declaration longer than the grown prefix is served by growth without
+/// comparing a single tree, and the whole walk costs one inference per
+/// declaration. A caller that gives no hint gets full inference. The
+/// initial whole-program check reuses the conventionalError() verdict
+/// (confirmed by deep equality) instead of running inference twice on
+/// the same program.
 ///
 /// Both layers toggle independently via OracleAccelOptions so the
 /// ablation benches can attribute savings; the arena itself is always
@@ -88,6 +93,7 @@ public:
   // Oracle interface --------------------------------------------------------
   std::optional<caml::TypeError>
   conventionalError(const caml::Program &Prog) override;
+  void beginPrefixWalk(const caml::Program &Prog) override;
   void seedPrefix(const caml::Program &Prog, unsigned EditedDecl) override;
   void clearPrefix() override;
   size_t inferenceRuns() const override { return Counters.inferenceRuns(); }
@@ -136,24 +142,25 @@ private:
   /// inference counters.
   bool inferEditedDecl(const caml::Decl &D, const caml::Program &Fallback);
 
-  /// Recognizes the prefix-localization pattern (the grown prefix plus
-  /// exactly one new declaration, or a fresh single-declaration start) and
-  /// serves the verdict by extending the growth environment. \returns true
-  /// with \p Verdict filled when the call was handled.
+  /// Serves a probe of the hinted walk that is the grown prefix plus
+  /// exactly one new declaration (or a fresh single-declaration start) by
+  /// extending the growth environment. \returns true with \p Verdict
+  /// filled when the call was handled.
   bool tryGrowthPath(const caml::Program &Prog, bool &Verdict);
   bool growthExtend(const caml::Decl &D, bool &Verdict);
-  void resetGrowth();
+  /// Expires the walk hint and drops everything grown under it.
+  void endWalk();
 
-  /// Serves a localization probe from the previous request's retained
-  /// prefix knowledge: probes wholly inside the retained known-good
-  /// prefix are answered true without inference, the retained failing
-  /// declaration is answered false, and a novel last declaration turns
-  /// the retained checkpoint into a growth environment so the rest of
-  /// the walk runs incrementally. \returns true when handled.
+  /// Serves a probe of the hinted walk from the previous request's
+  /// retained prefix knowledge: probes wholly inside the retained
+  /// known-good prefix are answered true without inference, the retained
+  /// failing declaration is answered false, and a novel last declaration
+  /// turns the retained checkpoint into a growth environment so the rest
+  /// of the walk runs incrementally. \returns true when handled.
   bool trySessionProbe(const caml::Program &Prog, bool &Verdict);
-  /// Moves the live seed state (checkpoint, prefix clone, verdict cache)
-  /// into Retained, keyed on the seed's interned prefix ids; called from
-  /// clearPrefix in session mode.
+  /// Moves the live seed state (checkpoint, verdict cache) into Retained,
+  /// keyed on the seed's interned prefix ids; called from clearPrefix in
+  /// session mode.
   void stashSessionState();
   /// Moves the retained verdict cache back into the live seed state (the
   /// adopting seed's prefix ids matched).
@@ -166,12 +173,15 @@ private:
   AccelCounters Counters;
 
   // Pre-seed state ----------------------------------------------------------
-  /// Environment grown one committed declaration at a time while the
-  /// searcher localizes the failing declaration; matched structurally
-  /// (owned clones, so stale state can never alias freed declarations)
-  /// and adopted by seedPrefix when it covers exactly the seed prefix.
+  /// The program of the live beginPrefixWalk() hint (null when none). Its
+  /// lifetime is the caller's; it is compared, never dereferenced outside
+  /// a call that passes the same object.
+  const caml::Program *WalkProg = nullptr;
+  /// Environment grown one committed declaration at a time over WalkProg
+  /// while the searcher localizes the failing declaration: it covers
+  /// WalkProg's first prefixLength() declarations, and seedPrefix adopts
+  /// it when that is exactly the seed prefix.
   std::unique_ptr<caml::InferenceCheckpoint> Growth;
-  std::vector<caml::DeclPtr> GrowthClones;
   /// Memo of the last conventionalError() verdict; serves the searcher's
   /// initial whole-program check without a second inference run.
   caml::Program ConvClone;
@@ -182,10 +192,6 @@ private:
   bool Seeded = false;
   unsigned EditedIndex = 0;
   std::vector<const caml::Decl *> PrefixIdentity; ///< Fast-path pointers.
-  /// The prefix declarations, kept in session mode only: a retained
-  /// checkpoint may later serve as a growth environment, which matches
-  /// its declarations structurally.
-  caml::Program PrefixClone;
   std::unique_ptr<caml::InferenceCheckpoint> Checkpoint;
 
   /// Arena-keyed verdict cache: canonical declaration id -> flags. Id
@@ -212,7 +218,6 @@ private:
     std::vector<caml::AstArena::DeclId> PrefixIds;
     caml::AstArena::DeclId FailingId = caml::AstArena::InvalidId;
     std::unique_ptr<caml::InferenceCheckpoint> Checkpoint;
-    caml::Program PrefixClone;
     std::unordered_map<caml::AstArena::DeclId, uint8_t> Verdicts;
   };
   RetainedSeed Retained;
@@ -241,13 +246,11 @@ private:
   std::vector<caml::AstArena::DeclId> SeedPrefixIds;
   caml::AstArena::DeclId SeedFailingId = caml::AstArena::InvalidId;
 
-  /// Per-localization-walk intern memo: the searcher's Work program
-  /// appends one declaration per probe and never mutates earlier ones,
-  /// so (pointer, id) pairs make each probe intern exactly one new tree
-  /// instead of the whole prefix. Cleared at every request boundary
-  /// (primeConventional/conventionalError/clearPrefix) so pointers never
-  /// dangle across programs.
-  std::vector<std::pair<const caml::Decl *, caml::AstArena::DeclId>> WalkIds;
+  /// Interned ids of WalkProg's first declarations, filled as the hinted
+  /// walk probes them (session mode): the walk only appends, so each
+  /// probe interns exactly one new tree instead of the whole prefix.
+  /// Dropped with the hint.
+  std::vector<caml::AstArena::DeclId> WalkIds;
 };
 
 } // namespace seminal

@@ -87,6 +87,15 @@ public:
     return typeOfNodeTraced(Prog, Node);
   }
 
+  /// Hints that until seedPrefix(), clearPrefix() or conventionalError(),
+  /// every queried program is \p Prog itself -- this one object -- and the
+  /// caller only appends declarations to it between queries (the prefix
+  /// localization walk of Section 2.1). Accelerated oracles then serve a
+  /// probe one declaration longer than the last by inferring just the new
+  /// declaration; the default ignores the hint. An unhinted caller is
+  /// answered by full inference, never by trusting object identity.
+  virtual void beginPrefixWalk(const caml::Program &Prog) {}
+
   /// Hints that until clearPrefix(), every queried program will consist of
   /// the first \p EditedDecl declarations of \p Prog unchanged plus one
   /// edited declaration at index \p EditedDecl. Accelerated oracles
@@ -94,7 +103,8 @@ public:
   /// The caller must not mutate the prefix declarations while seeded.
   virtual void seedPrefix(const caml::Program &Prog, unsigned EditedDecl) {}
 
-  /// Drops the seedPrefix() hint (and any state keyed on it).
+  /// Drops the seedPrefix() and beginPrefixWalk() hints (and any state
+  /// keyed on them).
   virtual void clearPrefix() {}
 
   /// The conventional checker diagnostic for \p Prog (does not count as a
@@ -109,8 +119,7 @@ public:
   /// once per question; accelerated oracles override this.
   virtual size_t inferenceRuns() const { return LogicalCalls; }
 
-  /// Legacy alias for logicalCalls().
-  size_t callCount() const { return LogicalCalls; }
+  /// Zeroes logicalCalls() (a long-lived oracle's per-request boundary).
   void resetCallCount() { LogicalCalls = 0; }
 
 protected:

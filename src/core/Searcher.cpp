@@ -13,7 +13,7 @@ using namespace seminal::caml;
 bool Searcher::oracleSays() {
   if (OutOfBudget)
     return false;
-  if (TheOracle.callCount() >= Opts.MaxOracleCalls) {
+  if (TheOracle.logicalCalls() >= Opts.MaxOracleCalls) {
     OutOfBudget = true;
     return false;
   }
@@ -39,10 +39,15 @@ void Searcher::note(const char *Layer, const char *Kind,
 LazyProgram Searcher::captureModified() {
   if (!Arena)
     return LazyProgram(Work.clone());
+  // Edits never touch the prefix, so it interns once per search; every
+  // capture after the first interns only the edited focus declaration.
+  assert(Work.Decls.size() == size_t(FocusDecl) + 1 && "search is seeded");
+  for (unsigned I = unsigned(PrefixIds.size()); I < FocusDecl; ++I)
+    PrefixIds.push_back(Arena->internDecl(*Work.Decls[I]));
   std::vector<AstArena::DeclId> Ids;
   Ids.reserve(Work.Decls.size());
-  for (const DeclPtr &D : Work.Decls)
-    Ids.push_back(Arena->internDecl(*D));
+  Ids.assign(PrefixIds.begin(), PrefixIds.end());
+  Ids.push_back(Arena->internDecl(*Work.Decls[FocusDecl]));
   return LazyProgram(Arena, std::move(Ids));
 }
 
@@ -610,6 +615,7 @@ void Searcher::prepareSlice() {
 SearchOutput Searcher::run(const Program &Input) {
   SearchOutput Out;
   Suggestions.clear();
+  PrefixIds.clear();
   OutOfBudget = false;
   SliceResult.reset();
   Guide.reset();
@@ -654,6 +660,9 @@ SearchOutput Searcher::run(const Program &Input) {
     TraceSpan LocalizeSpan(Opts.Trace, SpanKind::Localize,
                            "searcher.localize");
     TraceLayerScope Layer("localize");
+    // Every probe is Work itself, one declaration longer than the last;
+    // the hint lets an accelerated oracle infer only the new declaration.
+    TheOracle.beginPrefixWalk(Work);
     for (unsigned I = 0; I < Input.Decls.size(); ++I) {
       Work.Decls.push_back(Input.Decls[I]->clone());
       bool Ok = oracleSays();
@@ -670,6 +679,7 @@ SearchOutput Searcher::run(const Program &Input) {
   if (!Failing) {
     // Every prefix passes yet the whole fails -- impossible for a whole
     // program, defensive for budget exhaustion.
+    TheOracle.clearPrefix(); // Ends the walk hint.
     Out.BudgetExhausted = OutOfBudget;
     return Out;
   }
@@ -687,10 +697,11 @@ SearchOutput Searcher::run(const Program &Input) {
     prepareSlice();
     tryDeclChanges(FocusDecl);
     searchExpr(NodePath(FocusDecl));
-    TheOracle.clearPrefix();
   }
   // Type/exception declarations produce no searchable expressions; the
-  // conventional message stands alone for those.
+  // conventional message stands alone for those. Either way the seed (or,
+  // unseeded, the walk hint) ends here, before Work can change again.
+  TheOracle.clearPrefix();
 
   if (Guide) {
     Out.SlicePrunedSubtrees = Guide->PrunedSubtrees;

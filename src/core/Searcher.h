@@ -200,8 +200,8 @@ private:
                      bool LikelyUnbound = false, int Priority = 0);
 
   /// Captures Work for a Suggestion: interned ids over the arena when one
-  /// is attached (allocation only for previously unseen spine nodes), a
-  /// deep clone otherwise.
+  /// is attached (the prefix interned once per search, then only the
+  /// focus declaration per capture), a deep clone otherwise.
   LazyProgram captureModified();
 
   Oracle &TheOracle;
@@ -210,6 +210,9 @@ private:
 
   caml::Program Work;      ///< Prefix clone being edited in place.
   unsigned FocusDecl = 0;  ///< Declaration under scrutiny.
+  /// Interned ids of Work.Decls[0, FocusDecl), filled by the search's
+  /// first captureModified() (the search never edits them).
+  std::vector<caml::AstArena::DeclId> PrefixIds;
   bool OutOfBudget = false;
 
   /// Computes the slice of Work's focus declaration and (in guided mode)

@@ -15,12 +15,14 @@
 
 #include "core/CheckpointedOracle.h"
 #include "core/Seminal.h"
+#include "corpus/Programs.h"
 #include "minicaml/Hash.h"
 #include "minicaml/Parser.h"
 #include "minicaml/Printer.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -227,7 +229,6 @@ TEST(CheckpointedOracleTest, CacheHitsKeepLogicalCallsButSkipInference) {
   for (int I = 0; I < 3; ++I)
     EXPECT_EQ(O.typechecks(P), First);
   EXPECT_EQ(O.logicalCalls(), 4u);
-  EXPECT_EQ(O.callCount(), 4u); // Legacy alias agrees.
   EXPECT_EQ(O.counters().CacheHits, 3u);
   EXPECT_EQ(O.counters().CacheMisses, 1u);
   EXPECT_EQ(O.inferenceRuns(), 1u);
@@ -249,26 +250,148 @@ TEST(CheckpointedOracleTest, UnseededFallsBackToFullInference) {
 }
 
 TEST(CheckpointedOracleTest, LocalizationPatternIsServedIncrementally) {
-  // The searcher's prefix-localization loop: ask about prefixes of
-  // growing length. Every round should extend the growth environment
-  // instead of running whole-program inference.
+  // The searcher's prefix-localization loop: one working program, one
+  // declaration appended per round, announced by beginPrefixWalk(). Every
+  // round should extend the growth environment instead of running
+  // whole-program inference.
   Program P = parse("let a = 1\nlet b = a + 1\nlet c = b + 2\n"
                     "let d = c ^ \"s\"");
   CheckpointedOracle O;
+  Program Work;
+  O.beginPrefixWalk(Work);
   for (unsigned Len = 1; Len <= P.Decls.size(); ++Len) {
-    Program Prefix;
-    for (unsigned I = 0; I < Len; ++I)
-      Prefix.Decls.push_back(P.Decls[I]->clone());
+    Work.Decls.push_back(P.Decls[Len - 1]->clone());
     Program Truth;
     for (unsigned I = 0; I < Len; ++I)
       Truth.Decls.push_back(P.Decls[I]->clone());
-    EXPECT_EQ(O.typechecks(Prefix), caml::typecheckProgram(Truth).ok())
+    EXPECT_EQ(O.typechecks(Work), caml::typecheckProgram(Truth).ok())
         << "prefix length " << Len;
   }
   EXPECT_EQ(O.counters().FullInferences, 0u);
   EXPECT_EQ(O.counters().IncrementalInferences, P.Decls.size());
   // Each round re-checked only the new declaration: 0+1+2+3 skipped.
   EXPECT_EQ(O.counters().DeclInferencesSaved, 0u + 1u + 2u + 3u);
+  // Seeding the walked object ends the walk; the seeded probe is served
+  // incrementally from the seed checkpoint.
+  O.seedPrefix(Work, 3);
+  EXPECT_EQ(O.counters().CheckpointSeeds, 1u);
+  EXPECT_FALSE(O.typechecks(Work));
+  EXPECT_EQ(O.counters().FullInferences, 0u);
+  EXPECT_EQ(O.counters().IncrementalInferences, P.Decls.size() + 1);
+}
+
+TEST(CheckpointedOracleTest, UnhintedCallersGetFullInferenceAndExactVerdicts) {
+  // Programs are parsed, probed and freed round after round, so Program
+  // and declaration addresses get reused. Each round first runs hinted
+  // walks (a whole search, then a bare walk ended by clearPrefix or
+  // conventionalError) and then probes prefixes of two programs as fresh
+  // objects, the unhinted shape: each prefix of one program is followed
+  // by the other's prefix one declaration longer, which a length-only
+  // growth check would take for the next step of a walk. Nothing a hinted
+  // walk leaves behind may serve those probes: each multi-declaration
+  // probe runs full inference and agrees with the plain oracle. The
+  // session-retention oracle additionally holds a retained prefix the
+  // probes share.
+  const char *Sources[] = {
+      "let base = 1\nlet inc x = x + base\ntype t = A | B of int\n"
+      "let f v = match v with A -> 0 | B n -> inc n\nlet bad = f 1\n",
+      "let base = 1\nlet inc x = x + base\ntype t = A | B of int\n"
+      "let g = inc 2\nlet h = g + 1\n",
+      "let base = 1\nlet inc x = x + base\ntype t = A | B of nosuch\n"
+      "let k = 3\n",
+      "let base = 1\nlet inc x = x ^ \"s\"\nlet m = inc base\n",
+  };
+  const unsigned NumSources = sizeof(Sources) / sizeof(Sources[0]);
+  CamlOracle Ref;
+  CheckpointedOracle Plain;
+  CheckpointedOracle Session;
+  Session.setSessionRetention(true);
+  for (unsigned Round = 0; Round < 24; ++Round) {
+    const char *Walked = Sources[Round % NumSources];
+    const char *Probed =
+        Sources[(Round + 1 + (Round / NumSources) % (NumSources - 1)) %
+                NumSources];
+    const Program WalkedWhole = parse(Walked);
+    for (CheckpointedOracle *O : {&Plain, &Session}) {
+      {
+        auto W = std::make_unique<Program>(parse(Walked));
+        O->primeConventional(Walked);
+        runSeminalWithOracle(*O, *W, SeminalOptions());
+      }
+      {
+        auto W = std::make_unique<Program>();
+        O->beginPrefixWalk(*W);
+        for (const DeclPtr &D : WalkedWhole.Decls) {
+          W->Decls.push_back(D->clone());
+          bool Ok = O->typechecks(*W);
+          EXPECT_EQ(Ok, Ref.typechecks(*W)) << Walked;
+          if (!Ok)
+            break;
+        }
+        if (Round % 2)
+          O->clearPrefix();
+        else
+          O->conventionalError(parse("let z = 0"));
+      }
+      const Program Src = parse(Probed);
+      for (size_t Len = 1; Len <= Src.Decls.size(); ++Len) {
+        for (auto [From, L] : {std::pair(&Src, Len),
+                               std::pair(&WalkedWhole, Len + 1)}) {
+          if (L > From->Decls.size())
+            continue;
+          auto Prefix = std::make_unique<Program>();
+          for (size_t I = 0; I < L; ++I)
+            Prefix->Decls.push_back(From->Decls[I]->clone());
+          const uint64_t FullBefore = O->counters().FullInferences;
+          EXPECT_EQ(O->typechecks(*Prefix), Ref.typechecks(*Prefix))
+              << "round " << Round << ":\n" << printProgram(*Prefix);
+          // The walked program as a whole may be answered by the memo of
+          // its own conventionalError() verdict.
+          if (L > 1 && !Prefix->equals(WalkedWhole))
+            EXPECT_EQ(O->counters().FullInferences, FullBefore + 1)
+                << "round " << Round << ":\n" << printProgram(*Prefix);
+        }
+      }
+    }
+  }
+}
+
+TEST(CheckpointedOracleTest, HintedWalkIsLinearOnALargeProgram) {
+  // Copies of the five assignment templates until the program has at
+  // least 2,000 declarations, then one failing declaration. The hinted
+  // walk must infer each declaration once, incrementally, and never the
+  // whole program.
+  Program P;
+  while (P.Decls.size() < 2000)
+    for (const AssignmentTemplate &A : assignmentTemplates())
+      for (DeclPtr &D : parse(A.Source).Decls)
+        P.Decls.push_back(std::move(D));
+  P.Decls.push_back(std::move(parse("let broken = 1 + \"two\"").Decls[0]));
+  const size_t N = P.Decls.size();
+
+  // The checker aborts at the first error, so one whole-program run pins
+  // every prefix verdict: prefixes through the failure's predecessor
+  // pass and the rest fail. Sampled prefixes confirm it directly.
+  TypecheckResult Whole = typecheckProgram(P);
+  ASSERT_FALSE(Whole.ok());
+  ASSERT_TRUE(Whole.ErrorDeclIndex.has_value());
+  const size_t FirstFailing = *Whole.ErrorDeclIndex;
+  ASSERT_EQ(FirstFailing, N - 1);
+
+  CheckpointedOracle O;
+  Program Work;
+  O.beginPrefixWalk(Work);
+  for (size_t Len = 1; Len <= N; ++Len) {
+    Work.Decls.push_back(P.Decls[Len - 1]->clone());
+    const bool Verdict = O.typechecks(Work);
+    ASSERT_EQ(Verdict, Len - 1 < FirstFailing) << "prefix length " << Len;
+    if (Len % 250 == 0 || Len + 1 >= N)
+      ASSERT_EQ(Verdict, typecheckProgram(Work).ok())
+          << "prefix length " << Len;
+  }
+  EXPECT_EQ(O.counters().FullInferences, 0u);
+  EXPECT_EQ(O.counters().IncrementalInferences, N);
+  EXPECT_EQ(O.logicalCalls(), N);
 }
 
 TEST(CheckpointTest, ExtendWithCommitsOnSuccessAndRollsBackOnFailure) {

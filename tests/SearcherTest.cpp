@@ -309,12 +309,12 @@ TEST(OracleTest, CallsAreCounted) {
   CamlOracle O;
   ParseResult P = parseProgram("let x = 1");
   ASSERT_TRUE(P.ok());
-  EXPECT_EQ(O.callCount(), 0u);
+  EXPECT_EQ(O.logicalCalls(), 0u);
   O.typechecks(*P.Prog);
   O.typechecks(*P.Prog);
-  EXPECT_EQ(O.callCount(), 2u);
+  EXPECT_EQ(O.logicalCalls(), 2u);
   O.resetCallCount();
-  EXPECT_EQ(O.callCount(), 0u);
+  EXPECT_EQ(O.logicalCalls(), 0u);
 }
 
 TEST(OracleTest, ReportsOracleCallsInReport) {
