@@ -47,6 +47,8 @@ void CheckpointedOracle::resetSession() {
   ConvClone = Program();
   HasConvMemo = false;
   ConvOk = false;
+  ConvPassing.reset();
+  ConvGrowth.reset();
 }
 
 bool CheckpointedOracle::convMemoApplies(const Program &Prog) const {
@@ -74,9 +76,33 @@ bool CheckpointedOracle::convMemoApplies(const Program &Prog) const {
   return true;
 }
 
+TypecheckResult CheckpointedOracle::conventionalPass(const Program &Prog) {
+  // Declarations are checked in order and the checker aborts at the first
+  // error, so committing them one at a time to a checkpoint of the bare
+  // standard library reports exactly typecheckProgram()'s diagnostic --
+  // and leaves behind the environment of the passing prefix, which the
+  // localization walk would otherwise rebuild probe by probe.
+  TypecheckResult R;
+  ConvGrowth = InferenceCheckpoint::create(Prog, 0);
+  for (unsigned I = 0; I < Prog.Decls.size(); ++I) {
+    if (ConvGrowth->extendWith(*Prog.Decls[I], nullptr, &R.Error))
+      continue;
+    R.ErrorDeclIndex = I;
+    if (Prog.Decls[I]->kind() != Decl::Kind::Let)
+      // As in growthExtend: a failed type/exception declaration may leave
+      // partial constructor table entries behind.
+      ConvGrowth.reset();
+    return R;
+  }
+  ConvGrowth.reset(); // A well-typed program has no failing let to seed.
+  return R;
+}
+
 std::optional<TypeError>
 CheckpointedOracle::conventionalError(const Program &Prog) {
   endWalk(); // Request boundary: the previous run's walk hint expires.
+  ConvPassing.reset();
+  ConvGrowth.reset();
   // Session fast path: an edit past the failing declaration cannot change
   // the diagnostic (the checker aborts at the first error), so replay it.
   if (SessionRetention && SessionConv.Valid && HaveCurrentSource &&
@@ -93,14 +119,20 @@ CheckpointedOracle::conventionalError(const Program &Prog) {
   }
 
   // Rendered once per run to show the baseline message; not search work,
-  // so it stays out of the counters.
-  TypecheckResult R = typecheckProgram(Prog);
-  if (Accel.VerdictCache) {
+  // so it stays out of the counters. With the checkpoint layer on (and
+  // outside session mode, whose walks are served from retained state) the
+  // same pass also decides every localization probe in advance.
+  const bool Pass = Accel.Checkpoint && !SessionRetention;
+  TypecheckResult R = Pass ? conventionalPass(Prog) : typecheckProgram(Prog);
+  if (Pass)
+    ConvPassing = R.ErrorDeclIndex.value_or(unsigned(Prog.Decls.size()));
+  HasConvMemo = Accel.VerdictCache;
+  if (HasConvMemo || Pass) {
     // The searcher's first oracle call asks the boolean version of this
-    // exact question; remember the verdict so it need not re-infer.
+    // exact question, and its walk replays this program: keep a copy to
+    // confirm both by structure.
     ConvClone = Prog.clone();
     ConvOk = R.ok();
-    HasConvMemo = true;
   }
   // (Re)build the cross-request memo for the next edit-resubmit. Only a
   // parsed program qualifies: the byte-prefix validity check needs real
@@ -128,12 +160,13 @@ CheckpointedOracle::conventionalError(const Program &Prog) {
 }
 
 void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
-  // An environment the hinted walk grew over this very program covers
-  // its first Growth->prefixLength() declarations; take it before
-  // clearPrefix() ends the walk.
+  // An environment grown under the walk hint over this very program --
+  // by the walk itself, or by the conventional pass of the program the
+  // walk replays -- covers its first prefixLength() declarations; take it
+  // before clearPrefix() ends the walk.
   std::unique_ptr<InferenceCheckpoint> Grown;
   if (WalkProg == &Prog)
-    Grown = std::move(Growth);
+    Grown = std::move(WalkReplaysConv ? ConvGrowth : Growth);
   clearPrefix();
   if (EditedDecl >= Prog.Decls.size())
     return;
@@ -224,17 +257,48 @@ void CheckpointedOracle::clearPrefix() {
   SeedPrefixIds.clear();
   SeedFailingId = AstArena::InvalidId;
   endWalk();
+  // A conventional-pass environment no seed took (e.g. the program
+  // failed in a type declaration) goes with the run.
+  ConvGrowth.reset();
 }
 
-void CheckpointedOracle::beginPrefixWalk(const Program &Prog) {
+void CheckpointedOracle::beginPrefixWalk(const Program &Prog,
+                                         const Program &Source) {
   endWalk();
   WalkProg = &Prog;
+  // The conventional pass answers this walk's probes only if it checked
+  // this very program; one structural compare per walk confirms it.
+  WalkReplaysConv = ConvPassing && Source.equals(ConvClone);
 }
 
 void CheckpointedOracle::endWalk() {
   WalkProg = nullptr;
+  WalkReplaysConv = false;
   Growth.reset();
   WalkIds.clear();
+}
+
+bool CheckpointedOracle::tryConvPassProbe(const Program &Prog, bool &Verdict) {
+  if (!WalkReplaysConv)
+    return false;
+  // The walk's probes are ConvClone's prefixes: those through the
+  // declaration before the reported error pass, the one ending at it
+  // fails, and longer ones are not this pass's to answer.
+  const size_t N = Prog.Decls.size();
+  if (N > *ConvPassing + 1)
+    return false;
+  ++Counters.CacheHits;
+  LastServedBy = "conv-pass";
+  LastCacheHit = true;
+  Verdict = N <= *ConvPassing;
+  return true;
+}
+
+std::optional<unsigned> CheckpointedOracle::failingDecl(const Program &Prog) {
+  // The conventional pass stopped there already.
+  if (ConvPassing && Prog.equals(ConvClone))
+    return *ConvPassing < Prog.Decls.size() ? ConvPassing : std::nullopt;
+  return Oracle::failingDecl(Prog);
 }
 
 bool CheckpointedOracle::growthExtend(const Decl &D, bool &Verdict) {
@@ -375,6 +439,12 @@ bool CheckpointedOracle::inferEditedDecl(const Decl &D,
 
 bool CheckpointedOracle::typecheckImpl(const Program &Prog) {
   if (!matchesSeed(Prog)) {
+    bool Verdict;
+    // A probe of a walk that replays the conventional program. This comes
+    // before the memo below, which would otherwise take the walk's last
+    // probe when the last declaration fails.
+    if (&Prog == WalkProg && tryConvPassProbe(Prog, Verdict))
+      return Verdict;
     // Asked about the same program conventionalError() just inferred?
     // (The searcher's opening "does the input type-check at all" probe,
     // and the final localization round when the last declaration fails.)
@@ -387,7 +457,6 @@ bool CheckpointedOracle::typecheckImpl(const Program &Prog) {
     }
     // Walk state serves only the hinted walk's own probes; any other
     // caller gets full inference below.
-    bool Verdict;
     if (&Prog == WalkProg &&
         (trySessionProbe(Prog, Verdict) || tryGrowthPath(Prog, Verdict)))
       return Verdict;

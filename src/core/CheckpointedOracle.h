@@ -28,20 +28,35 @@
 /// Calls are answered one at a time, in the order the searcher asks them,
 /// as in the paper's Figure 1.
 ///
-/// Two further fast paths cover the calls issued *before* seedPrefix():
-/// the searcher's prefix-localization loop ("do the first k declarations
-/// type-check?", k growing by one per call) is served by extending a
-/// persistent environment one committed declaration at a time instead of
-/// re-inferring the prefix from scratch each round -- and the grown
-/// environment is then adopted as the seed checkpoint, making seeding
-/// free. The loop announces itself with beginPrefixWalk(): the probes are
-/// one Program object that the caller only appends to, so a probe one
-/// declaration longer than the grown prefix is served by growth without
-/// comparing a single tree, and the whole walk costs one inference per
-/// declaration. A caller that gives no hint gets full inference. The
-/// initial whole-program check reuses the conventionalError() verdict
-/// (confirmed by deep equality) instead of running inference twice on
-/// the same program.
+/// Further fast paths cover the calls issued *before* seedPrefix(). The
+/// conventional checker stops at the first error, so with the checkpoint
+/// layer on conventionalError() runs as one incremental pass: it commits
+/// declarations one at a time to a checkpoint and keeps the first error,
+/// which yields the diagnostic, its declaration index K and the
+/// environment of the passing prefix at once. The searcher's
+/// prefix-localization loop ("do the first k declarations type-check?",
+/// k growing by one per call) announces itself with beginPrefixWalk(Work,
+/// Input): the probes are one Program object that the caller only appends
+/// copies of Input's declarations to. When Input is the program the
+/// conventional pass checked, probes 1..K are answered true and probe K+1
+/// false without inference (counted as cache hits), and seedPrefix adopts
+/// the pass's environment, making seeding free. The slice-guided search
+/// skips the probes: failingDecl() answers K from the same pass, and it
+/// builds its working program under the same hint, so it seeds the same
+/// way.
+///
+/// The walk still grows its own environment in session mode (whose walks
+/// are served from retained state instead) and when conventionalError()
+/// did not check Input: a probe one declaration longer than the grown
+/// prefix extends a persistent environment by that one declaration
+/// without comparing a single tree, so the whole walk costs one inference
+/// per declaration, and seedPrefix adopts the grown environment. Neither
+/// path hands on an environment past a failed type or exception
+/// declaration, whose partial constructor entries cannot be trusted. A
+/// caller that gives no hint gets full inference. The initial
+/// whole-program check reuses the conventionalError() verdict (confirmed
+/// by deep equality) instead of running inference twice on the same
+/// program.
 ///
 /// Both layers toggle independently via OracleAccelOptions so the
 /// ablation benches can attribute savings; the arena itself is always
@@ -93,7 +108,9 @@ public:
   // Oracle interface --------------------------------------------------------
   std::optional<caml::TypeError>
   conventionalError(const caml::Program &Prog) override;
-  void beginPrefixWalk(const caml::Program &Prog) override;
+  void beginPrefixWalk(const caml::Program &Prog,
+                       const caml::Program &Source) override;
+  std::optional<unsigned> failingDecl(const caml::Program &Prog) override;
   void seedPrefix(const caml::Program &Prog, unsigned EditedDecl) override;
   void clearPrefix() override;
   size_t inferenceRuns() const override { return Counters.inferenceRuns(); }
@@ -151,6 +168,15 @@ private:
   /// Expires the walk hint and drops everything grown under it.
   void endWalk();
 
+  /// The conventional check as one incremental pass: grows ConvGrowth a
+  /// declaration at a time and stops at the first error, which it
+  /// returns with its declaration index exactly as typecheckProgram()
+  /// would.
+  caml::TypecheckResult conventionalPass(const caml::Program &Prog);
+  /// Serves a probe of a walk that replays the conventional program from
+  /// that pass, with no inference. \returns true when handled.
+  bool tryConvPassProbe(const caml::Program &Prog, bool &Verdict);
+
   /// Serves a probe of the hinted walk from the previous request's
   /// retained prefix knowledge: probes wholly inside the retained
   /// known-good prefix are answered true without inference, the retained
@@ -182,11 +208,26 @@ private:
   /// WalkProg's first prefixLength() declarations, and seedPrefix adopts
   /// it when that is exactly the seed prefix.
   std::unique_ptr<caml::InferenceCheckpoint> Growth;
-  /// Memo of the last conventionalError() verdict; serves the searcher's
-  /// initial whole-program check without a second inference run.
+  /// Copy of the last conventionalError() program. With the verdict-cache
+  /// layer (HasConvMemo) it and ConvOk serve the searcher's initial
+  /// whole-program check without a second inference run; with the
+  /// conventional pass it confirms that a walk replays that program.
   caml::Program ConvClone;
   bool HasConvMemo = false;
   bool ConvOk = false;
+  /// Set when the last conventionalError() ran as conventionalPass()
+  /// (checkpoint layer on, session retention off): ConvClone's first
+  /// *ConvPassing declarations type-check, and the next one, if any,
+  /// fails.
+  std::optional<unsigned> ConvPassing;
+  /// That pass's environment of the passing prefix. Null when the program
+  /// type-checks or failed in a type/exception declaration; adopted by
+  /// seedPrefix() under a walk hint that replays the pass, dropped at
+  /// clearPrefix().
+  std::unique_ptr<caml::InferenceCheckpoint> ConvGrowth;
+  /// The live walk hint's Source is ConvClone, so tryConvPassProbe
+  /// answers its probes.
+  bool WalkReplaysConv = false;
 
   // Seed state (valid between seedPrefix and clearPrefix) -------------------
   bool Seeded = false;

@@ -9,6 +9,10 @@ using namespace seminal::caml;
 
 Oracle::~Oracle() = default;
 
+std::optional<unsigned> Oracle::failingDecl(const Program &Prog) {
+  return typecheckProgram(Prog).ErrorDeclIndex;
+}
+
 //===----------------------------------------------------------------------===//
 // Traced wrappers
 //===----------------------------------------------------------------------===//

@@ -89,12 +89,16 @@ public:
 
   /// Hints that until seedPrefix(), clearPrefix() or conventionalError(),
   /// every queried program is \p Prog itself -- this one object -- and the
-  /// caller only appends declarations to it between queries (the prefix
-  /// localization walk of Section 2.1). Accelerated oracles then serve a
-  /// probe one declaration longer than the last by inferring just the new
-  /// declaration; the default ignores the hint. An unhinted caller is
-  /// answered by full inference, never by trusting object identity.
-  virtual void beginPrefixWalk(const caml::Program &Prog) {}
+  /// caller only appends declarations to it between queries, each a copy
+  /// of the next declaration of \p Source (the prefix localization walk
+  /// of Section 2.1). Accelerated oracles then serve a probe one
+  /// declaration longer than the last by inferring just the new
+  /// declaration, or with no inference at all when \p Source is the
+  /// program conventionalError() last checked; the default ignores the
+  /// hint. An unhinted caller is answered by full inference, never by
+  /// trusting object identity.
+  virtual void beginPrefixWalk(const caml::Program &Prog,
+                               const caml::Program &Source) {}
 
   /// Hints that until clearPrefix(), every queried program will consist of
   /// the first \p EditedDecl declarations of \p Prog unchanged plus one
@@ -111,6 +115,13 @@ public:
   /// search call; used to render the baseline message).
   virtual std::optional<caml::TypeError>
   conventionalError(const caml::Program &Prog) = 0;
+
+  /// The index of the declaration where the conventional checker stops on
+  /// \p Prog, or none when it type-checks. Not a search call either: the
+  /// slice-guided search pins localization with it. The default infers
+  /// \p Prog once; accelerated oracles answer from their last
+  /// conventionalError() pass when it checked this program.
+  virtual std::optional<unsigned> failingDecl(const caml::Program &Prog);
 
   /// Search effort: every question asked (Section 3.2's metric).
   size_t logicalCalls() const { return LogicalCalls; }
@@ -132,7 +143,8 @@ protected:
   // setting these before returning; the traced wrappers stamp them onto
   // the call's span. Plain oracles leave the defaults.
   /// Which acceleration layer answered ("full-inference", "verdict-cache",
-  /// "checkpoint-incremental", "growth-extend", "conv-memo").
+  /// "checkpoint-incremental", "growth-extend", "conv-memo", "conv-pass",
+  /// "session-prefix").
   const char *LastServedBy = "full-inference";
   /// True when the verdict came from a memo rather than inference.
   bool LastCacheHit = false;

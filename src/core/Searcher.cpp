@@ -639,14 +639,16 @@ SearchOutput Searcher::run(const Program &Input) {
   std::optional<unsigned> Failing;
   size_t LocalizationsSkipped = 0;
   if (Opts.SliceGuided) {
-    // Guided mode pins the failing declaration with one internal
-    // inference instead: declarations are checked in order and the
-    // checker aborts at the first error, so a whole-program run failing
-    // at declaration K proves prefix K passes and prefix K+1 fails --
+    // Guided mode pins the failing declaration from the conventional
+    // check instead: declarations are checked in order and the checker
+    // aborts at the first error, so a whole-program run failing at
+    // declaration K proves prefix K passes and prefix K+1 fails --
     // exactly what the probe loop concludes, K+1 oracle calls later.
-    TypecheckResult R = typecheckProgram(Input);
-    if (!R.ok() && R.ErrorDeclIndex) {
-      Failing = *R.ErrorDeclIndex;
+    // Work is still built as the walk builds it, under the same hint, so
+    // seeding can adopt the environment that check left behind.
+    Failing = TheOracle.failingDecl(Input);
+    if (Failing) {
+      TheOracle.beginPrefixWalk(Work, Input);
       for (unsigned I = 0; I <= *Failing; ++I)
         Work.Decls.push_back(Input.Decls[I]->clone());
       LocalizationsSkipped = size_t(*Failing) + 1;
@@ -660,9 +662,10 @@ SearchOutput Searcher::run(const Program &Input) {
     TraceSpan LocalizeSpan(Opts.Trace, SpanKind::Localize,
                            "searcher.localize");
     TraceLayerScope Layer("localize");
-    // Every probe is Work itself, one declaration longer than the last;
-    // the hint lets an accelerated oracle infer only the new declaration.
-    TheOracle.beginPrefixWalk(Work);
+    // Every probe is Work itself, one declaration of Input longer than
+    // the last; the hint lets an accelerated oracle infer only the new
+    // declaration, or answer from its conventional check of Input.
+    TheOracle.beginPrefixWalk(Work, Input);
     for (unsigned I = 0; I < Input.Decls.size(); ++I) {
       Work.Decls.push_back(Input.Decls[I]->clone());
       bool Ok = oracleSays();

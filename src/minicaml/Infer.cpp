@@ -65,8 +65,10 @@ public:
 
   /// Commit-or-rollback: processes \p D permanently if it type-checks,
   /// restores the environment if it does not. \returns success; \p
-  /// TypesAllocated, when non-null, receives this call's allocations.
-  bool extendDecl(const Decl &D, size_t *TypesAllocated);
+  /// TypesAllocated, when non-null, receives this call's allocations, and
+  /// \p Error, when non-null, the diagnostic of a failure.
+  bool extendDecl(const Decl &D, size_t *TypesAllocated,
+                  std::optional<TypeError> *Error);
 
 private:
   // Environment -----------------------------------------------------------
@@ -256,6 +258,37 @@ private:
 // Setup
 //===----------------------------------------------------------------------===//
 
+/// The standard library's signatures, parsed once per process. The trees
+/// are never mutated after the first call builds them, so every
+/// Inferencer on every thread reads them concurrently and converts them
+/// into its own TypeArena.
+struct ParsedStdlib {
+  std::vector<TypeExprPtr> Values;     ///< Parallel to stdlibValues().
+  std::vector<TypeExprPtr> Exceptions; ///< Parallel to stdlibExceptions();
+                                       ///< null for nullary exceptions.
+};
+
+const ParsedStdlib &parsedStdlib() {
+  static const ParsedStdlib Parsed = [] {
+    ParsedStdlib P;
+    for (const StdlibValue &V : stdlibValues()) {
+      std::optional<ParseError> PE;
+      P.Values.push_back(parseTypeSignature(V.TypeSig, PE));
+      assert(P.Values.back() && "malformed stdlib signature");
+    }
+    for (const StdlibException &E : stdlibExceptions()) {
+      std::optional<ParseError> PE;
+      P.Exceptions.push_back(E.ArgTypeSig.empty()
+                                 ? nullptr
+                                 : parseTypeSignature(E.ArgTypeSig, PE));
+      assert((E.ArgTypeSig.empty() || P.Exceptions.back()) &&
+             "malformed stdlib exception signature");
+    }
+    return P;
+  }();
+  return Parsed;
+}
+
 void Inferencer::loadStdlib() {
   TypeArity = {{"int", 0},  {"bool", 0}, {"string", 0}, {"unit", 0},
                {"exn", 0},  {"list", 1}, {"ref", 1},    {"option", 1},
@@ -267,30 +300,27 @@ void Inferencer::loadStdlib() {
   Constructors["None"] = ConstrInfo{"option", OptType, nullptr};
   Constructors["Some"] = ConstrInfo{"option", OptType, OptParam};
 
-  for (const StdlibValue &V : stdlibValues()) {
-    std::optional<ParseError> PE;
-    TypeExprPtr TE = parseTypeSignature(V.TypeSig, PE);
-    assert(TE && "malformed stdlib signature");
+  const ParsedStdlib &Parsed = parsedStdlib();
+  const std::vector<StdlibValue> &Values = stdlibValues();
+  for (size_t I = 0; I < Values.size(); ++I) {
     std::map<std::string, Type *> VarMap;
-    Type *T = convertTypeExpr(*TE, VarMap, /*AutoBindVars=*/true,
-                              SourceSpan());
+    Type *T = convertTypeExpr(*Parsed.Values[I], VarMap,
+                              /*AutoBindVars=*/true, SourceSpan());
     assert(T && !hasError() && "stdlib signature failed to convert");
     // Signature variables are generic by construction (see convert).
-    bind(V.Name, T);
+    bind(Values[I].Name, T);
   }
 
-  for (const StdlibException &E : stdlibExceptions()) {
+  const std::vector<StdlibException> &Exceptions = stdlibExceptions();
+  for (size_t I = 0; I < Exceptions.size(); ++I) {
     ConstrInfo Info;
     Info.TypeName = "exn";
     Info.Result = Arena.exnType();
-    if (!E.ArgTypeSig.empty()) {
-      std::optional<ParseError> PE;
-      TypeExprPtr TE = parseTypeSignature(E.ArgTypeSig, PE);
-      assert(TE && "malformed stdlib exception signature");
+    if (const TypeExpr *TE = Parsed.Exceptions[I].get()) {
       std::map<std::string, Type *> VarMap;
       Info.Arg = convertTypeExpr(*TE, VarMap, true, SourceSpan());
     }
-    Constructors[E.Name] = std::move(Info);
+    Constructors[Exceptions[I].Name] = std::move(Info);
   }
 }
 
@@ -1018,7 +1048,8 @@ TypecheckResult Inferencer::checkAdditionalDecl(const Decl &D,
   return Result;
 }
 
-bool Inferencer::extendDecl(const Decl &D, size_t *TypesAllocated) {
+bool Inferencer::extendDecl(const Decl &D, size_t *TypesAllocated,
+                            std::optional<TypeError> *Error) {
   const size_t EnvMark = Env.size();
   const size_t TopMark = TopLevel.size();
   const TypeArena::Mark AMark = Arena.mark();
@@ -1035,6 +1066,10 @@ bool Inferencer::extendDecl(const Decl &D, size_t *TypesAllocated) {
     Succeeded = !hasError();
     if (TypesAllocated)
       *TypesAllocated = Arena.numAllocated() - AMark.Nodes;
+    // The message was rendered when the error was reported, against the
+    // types as they stood then; the rollback below cannot change it.
+    if (Error)
+      *Error = std::move(ErrorOut);
     Opts = nullptr;
     QueriedTy = nullptr;
     ErrorOut.reset();
@@ -1087,8 +1122,9 @@ TypecheckResult InferenceCheckpoint::checkDecl(const Decl &D,
   return TheImpl->Inf.checkAdditionalDecl(D, Opts);
 }
 
-bool InferenceCheckpoint::extendWith(const Decl &D, size_t *TypesAllocated) {
-  if (!TheImpl->Inf.extendDecl(D, TypesAllocated))
+bool InferenceCheckpoint::extendWith(const Decl &D, size_t *TypesAllocated,
+                                     std::optional<TypeError> *Error) {
+  if (!TheImpl->Inf.extendDecl(D, TypesAllocated, Error))
     return false;
   ++PrefixLen;
   return true;

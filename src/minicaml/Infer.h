@@ -90,7 +90,10 @@ struct TypecheckResult {
   bool ok() const { return !Error.has_value(); }
 };
 
-/// Type-checks \p Prog against the standard library environment.
+/// Type-checks \p Prog against the standard library environment. Each run
+/// builds that environment in a fresh type arena from signatures parsed
+/// once per process, so concurrent runs on different threads share only
+/// immutable data.
 TypecheckResult typecheckProgram(const Program &Prog,
                                  const TypecheckOptions &Opts = {});
 
@@ -132,13 +135,19 @@ public:
   /// On success the declaration's bindings are committed and
   /// prefixLength() grows by one; on failure every unification side
   /// effect is rolled back and the prefix is unchanged. \p TypesAllocated,
-  /// when non-null, receives this call's allocation count.
+  /// when non-null, receives this call's allocation count. \p Error, when
+  /// non-null, receives the failing declaration's diagnostic (reset on
+  /// success): the same TypeError a whole-program typecheckProgram()
+  /// reports when this declaration is the first to fail, so growing a
+  /// checkpoint one declaration at a time doubles as the conventional
+  /// check.
   ///
   /// Caveat: a *failed* type/exception declaration may leave partial
   /// entries in the constructor/record tables (those are not trailed), so
   /// after extendWith returns false for a non-Let declaration the
   /// checkpoint must be discarded. A failed Let rolls back completely.
-  bool extendWith(const Decl &D, size_t *TypesAllocated = nullptr);
+  bool extendWith(const Decl &D, size_t *TypesAllocated = nullptr,
+                  std::optional<TypeError> *Error = nullptr);
 
 private:
   InferenceCheckpoint();

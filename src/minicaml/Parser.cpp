@@ -13,17 +13,6 @@ namespace {
 
 using TK = Token::Kind;
 
-/// Deepest nesting the parser accepts. Every recursive descent holds one
-/// level while it parses: a parenthesized, bracketed or keyword-nested
-/// sub-expression (let ... in, fun, match, if), one more `;` or
-/// right-associative operand, a prefix operator, a nested pattern or a
-/// nested type expression. Past the bound the parse stops with a located
-/// syntax error instead of exhausting the native stack. The generated
-/// corpus and scaling programs nest at most ~20 levels; the bound also
-/// keeps the AST shallow enough for the recursive passes downstream
-/// (inference, search, printing) on an 8 MiB thread stack.
-constexpr unsigned MaxNestingDepth = 1000;
-
 /// The parser proper. Error handling uses a sticky failure flag: once a
 /// syntax error is recorded every parse function bails out immediately, so
 /// only the first error is reported (library code avoids exceptions).

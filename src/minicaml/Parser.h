@@ -44,6 +44,19 @@ struct ParseResult {
   bool ok() const { return Prog.has_value(); }
 };
 
+/// Deepest nesting the parser accepts. Every recursive descent holds one
+/// level while it parses: a parenthesized, bracketed or keyword-nested
+/// sub-expression (let ... in, fun, match, if), one more `;` or
+/// right-associative operand, a prefix operator, a nested pattern or a
+/// nested type expression. Past the bound the parse stops with a located
+/// syntax error instead of exhausting the native stack. The generated
+/// corpus and scaling programs nest at most ~20 levels. The bound is the
+/// same for every build type and keeps the parse and the recursive passes
+/// downstream (inference, search, printing) within an 8 MiB thread stack
+/// even under AddressSanitizer, whose enlarged frames overflowed that
+/// stack at ~900 levels.
+constexpr unsigned MaxNestingDepth = 256;
+
 /// Parses a complete source file (a sequence of structure items).
 ParseResult parseProgram(const std::string &Source);
 

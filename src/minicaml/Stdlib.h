@@ -7,7 +7,9 @@
 /// \file
 /// The standard-library values, constructors, and exceptions that every
 /// program is checked against. Signatures are written in concrete type
-/// syntax and parsed on first use; type variables are implicitly
+/// syntax and parsed on first use, once per process: every type-checker
+/// run, on any thread, converts the same immutable parsed trees into its
+/// own type arena (Infer.cpp). Type variables are implicitly
 /// generalized. The set covers everything the paper's examples touch
 /// (List.map, List.combine, List.filter, List.mem, List.nth, refs, I/O).
 ///

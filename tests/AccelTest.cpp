@@ -15,6 +15,7 @@
 
 #include "core/CheckpointedOracle.h"
 #include "core/Seminal.h"
+#include "corpus/Generator.h"
 #include "corpus/Programs.h"
 #include "minicaml/Hash.h"
 #include "minicaml/Parser.h"
@@ -24,6 +25,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace seminal;
@@ -113,6 +115,43 @@ std::string fingerprint(const SeminalReport &R) {
     Out += " :: " + std::to_string(hashProgram(S.Modified));
     Out += "\n";
     Out += renderSuggestion(S) + "\n";
+  }
+  return Out;
+}
+
+/// A diagnostic and the declaration it was reported in, rendered.
+std::string diagnostic(const std::optional<TypeError> &E,
+                       std::optional<unsigned> DeclIndex) {
+  std::string Out =
+      "decl=" + (DeclIndex ? std::to_string(*DeclIndex) : std::string("none"));
+  if (E)
+    Out += " kind=" + std::to_string(int(E->TheKind)) +
+           " span=" + std::to_string(E->Span.Begin.Offset) + "-" +
+           std::to_string(E->Span.EndOffset) + " msg=" + E->Message +
+           " actual=" + E->ActualType + " expected=" + E->ExpectedType +
+           " name=" + E->Name;
+  return Out;
+}
+
+/// Every field of a type-check result a caller can observe, rendered.
+std::string fingerprint(const TypecheckResult &R) {
+  std::string Out = diagnostic(R.Error, R.ErrorDeclIndex);
+  for (const auto &[Name, Type] : R.TopLevelTypes)
+    Out += "\n" + Name + " : " + Type;
+  Out += "\nallocated=" + std::to_string(R.TypesAllocated);
+  return Out;
+}
+
+/// Programs of several seeded corpora (printed student files, most with
+/// an error in some declaration after a well-typed prefix).
+std::vector<Program> corpusPrograms() {
+  std::vector<Program> Out;
+  for (uint64_t Seed : {7u, 11u, 20070611u}) {
+    CorpusOptions Opts;
+    Opts.Seed = Seed;
+    Opts.Scale = 0.25;
+    for (const CorpusFile &F : generateCorpus(Opts).Analyzed)
+      Out.push_back(parse(F.Source));
   }
   return Out;
 }
@@ -258,7 +297,7 @@ TEST(CheckpointedOracleTest, LocalizationPatternIsServedIncrementally) {
                     "let d = c ^ \"s\"");
   CheckpointedOracle O;
   Program Work;
-  O.beginPrefixWalk(Work);
+  O.beginPrefixWalk(Work, P);
   for (unsigned Len = 1; Len <= P.Decls.size(); ++Len) {
     Work.Decls.push_back(P.Decls[Len - 1]->clone());
     Program Truth;
@@ -284,7 +323,10 @@ TEST(CheckpointedOracleTest, UnhintedCallersGetFullInferenceAndExactVerdicts) {
   // Programs are parsed, probed and freed round after round, so Program
   // and declaration addresses get reused. Each round first runs hinted
   // walks (a whole search, then a bare walk ended by clearPrefix or
-  // conventionalError) and then probes prefixes of two programs as fresh
+  // conventionalError; the bare walk replays the search's conventional
+  // program in half the rounds and grows its own environment after an
+  // unrelated conventionalError in the others) and then probes prefixes
+  // of two programs as fresh
   // objects, the unhinted shape: each prefix of one program is followed
   // by the other's prefix one declaration longer, which a length-only
   // growth check would take for the next step of a walk. Nothing a hinted
@@ -319,8 +361,10 @@ TEST(CheckpointedOracleTest, UnhintedCallersGetFullInferenceAndExactVerdicts) {
         runSeminalWithOracle(*O, *W, SeminalOptions());
       }
       {
+        if (Round % 4 >= 2)
+          O->conventionalError(parse("let z = 0"));
         auto W = std::make_unique<Program>();
-        O->beginPrefixWalk(*W);
+        O->beginPrefixWalk(*W, WalkedWhole);
         for (const DeclPtr &D : WalkedWhole.Decls) {
           W->Decls.push_back(D->clone());
           bool Ok = O->typechecks(*W);
@@ -380,7 +424,7 @@ TEST(CheckpointedOracleTest, HintedWalkIsLinearOnALargeProgram) {
 
   CheckpointedOracle O;
   Program Work;
-  O.beginPrefixWalk(Work);
+  O.beginPrefixWalk(Work, P);
   for (size_t Len = 1; Len <= N; ++Len) {
     Work.Decls.push_back(P.Decls[Len - 1]->clone());
     const bool Verdict = O.typechecks(Work);
@@ -417,6 +461,188 @@ TEST(CheckpointTest, ExtendWithCommitsOnSuccessAndRollsBackOnFailure) {
   // And the environment can still grow past the failure.
   ASSERT_TRUE(CP->extendWith(*P.Decls[3]));
   EXPECT_EQ(CP->prefixLength(), 3u);
+}
+
+TEST(CheckpointTest, SharedStdlibSignaturesAreThreadSafe) {
+  // Every type-checker run converts the standard library's signatures,
+  // parsed once per process, into its own arena. Eight threads check the
+  // same programs at once -- the first round races the signatures'
+  // first use, as nothing in this process has type-checked yet -- and
+  // every result must equal a serial run's.
+  auto CheckOnThreads = [](const std::vector<Program> &Progs) {
+    std::vector<std::string> Serial;
+    std::vector<std::vector<std::string>> PerThread(8);
+    std::vector<std::thread> Threads;
+    for (std::vector<std::string> &Results : PerThread)
+      Threads.emplace_back([&Progs, &Results] {
+        for (const Program &P : Progs)
+          Results.push_back(fingerprint(typecheckProgram(P)));
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    for (const Program &P : Progs)
+      Serial.push_back(fingerprint(typecheckProgram(P)));
+    for (const std::vector<std::string> &Results : PerThread)
+      EXPECT_EQ(Results, Serial);
+  };
+  std::vector<Program> Handwritten;
+  for (const char *Src : ScenarioSources)
+    Handwritten.push_back(parse(Src));
+  for (const AssignmentTemplate &A : assignmentTemplates())
+    Handwritten.push_back(parse(A.Source));
+  CheckOnThreads(Handwritten);
+  CheckOnThreads(corpusPrograms());
+}
+
+TEST(CheckpointedOracleTest, ConventionalPassServesTheLocalizationWalk) {
+  // With the checkpoint layer on, conventionalError() grows one checkpoint
+  // through the program and stops at the first error. A walk that replays
+  // the program must get CamlOracle's verdicts and logical calls with no
+  // inference -- so its first failing probe is the pass's error
+  // declaration, which with the diagnostic must equal typecheckProgram()'s
+  // -- and then seed from the environment the pass left.
+  std::vector<Program> Progs = corpusPrograms();
+  const char *Handwritten[] = {
+      // The failing declaration is the last one.
+      "let a = 1\nlet f x = x + a\nlet b = f \"s\"\n",
+      // A failing type declaration, then a failing exception declaration.
+      "let a = 1\ntype t = A | B of nosuch\nlet b = a + 1\n",
+      "let a = 1\nexception E of nosuch\nlet b = a\n",
+      // A failing let after type and exception declarations.
+      "type t = A | B of int\nexception E of string\n"
+      "let f v = match v with A -> 0 | B n -> n\nlet g = f 1\n",
+      // Well-typed programs.
+      "let a = 1\nlet b = a + 1\n",
+      "type t = A | B of int\nlet f v = match v with A -> 0 | B n -> n\n",
+  };
+  for (const char *Src : Handwritten)
+    Progs.push_back(parse(Src));
+  for (const char *Src : ScenarioSources)
+    Progs.push_back(parse(Src));
+
+  unsigned Walks = 0, Seeds = 0;
+  for (const Program &P : Progs) {
+    const std::string Text = printProgram(P);
+    const TypecheckResult Truth = typecheckProgram(P);
+    CheckpointedOracle O;
+    const std::optional<TypeError> Conv = O.conventionalError(P);
+
+    // The walk, probe for probe against the plain oracle and against an
+    // accelerated oracle that has to grow its own environment.
+    CamlOracle Ref;
+    CheckpointedOracle Cold;
+    Program Work, ColdWork;
+    TraceSink Sink;
+    O.setInstrumentation(&Sink, nullptr);
+    O.beginPrefixWalk(Work, P);
+    Cold.beginPrefixWalk(ColdWork, P);
+    std::optional<unsigned> Failing;
+    for (unsigned I = 0; I < P.Decls.size() && !Failing; ++I) {
+      Work.Decls.push_back(P.Decls[I]->clone());
+      ColdWork.Decls.push_back(P.Decls[I]->clone());
+      const bool Ok = O.typechecks(Work);
+      EXPECT_EQ(Ok, Ref.typechecks(Work)) << Text << "\nprefix " << I + 1;
+      EXPECT_EQ(Ok, Cold.typechecks(ColdWork));
+      if (!Ok)
+        Failing = I;
+    }
+    // The walk's verdicts come from the pass's error declaration.
+    EXPECT_EQ(diagnostic(Conv, Failing),
+              diagnostic(Truth.Error, Truth.ErrorDeclIndex))
+        << Text;
+    EXPECT_EQ(O.logicalCalls(), Ref.logicalCalls());
+    EXPECT_EQ(O.logicalCalls(), Cold.logicalCalls());
+    EXPECT_EQ(O.inferenceRuns(), 0u) << Text;
+    EXPECT_EQ(O.counters().CacheHits, O.logicalCalls());
+    // Every probe, the last declaration's too, comes from the pass (the
+    // whole-program memo must not take the failing probe).
+    for (const TraceEvent &E : Sink.snapshot())
+      for (const TraceAttr &A : E.Attrs) {
+        if (A.Key == "served_by") {
+          EXPECT_EQ(A.Str, "conv-pass") << Text;
+        }
+      }
+    O.setInstrumentation(nullptr, nullptr);
+    // The slice-guided search pins the same declaration from the pass;
+    // a program the pass did not check is inferred afresh.
+    EXPECT_EQ(O.failingDecl(P), Truth.ErrorDeclIndex) << Text;
+    EXPECT_EQ(O.failingDecl(Progs.front()),
+              typecheckProgram(Progs.front()).ErrorDeclIndex)
+        << Text;
+    ++Walks;
+
+    // A failing let: seeded at it, the probe is served incrementally
+    // from the environment of the passing prefix.
+    if (!Failing || P.Decls[*Failing]->kind() != Decl::Kind::Let)
+      continue;
+    O.seedPrefix(Work, *Failing);
+    EXPECT_EQ(O.counters().CheckpointSeeds, 1u);
+    EXPECT_FALSE(O.typechecks(Work)) << Text;
+    EXPECT_EQ(O.counters().FullInferences, 0u) << Text;
+    EXPECT_EQ(O.counters().IncrementalInferences, 1u) << Text;
+    ++Seeds;
+  }
+  EXPECT_EQ(Walks, Progs.size());
+  EXPECT_GT(Seeds, Progs.size() / 2);
+
+  // A failed type declaration leaves partial constructor entries behind,
+  // so neither the pass nor a grown walk may hand its environment on:
+  // seeded at the failure, a let in its place must not see constructor A.
+  const Program BadType = parse("let a = 1\ntype t = A | B of nosuch\n");
+  for (bool Conventional : {true, false}) {
+    CheckpointedOracle O;
+    if (Conventional)
+      O.conventionalError(BadType);
+    Program Work;
+    O.beginPrefixWalk(Work, BadType);
+    for (const DeclPtr &D : BadType.Decls) {
+      Work.Decls.push_back(D->clone());
+      if (!O.typechecks(Work))
+        break;
+    }
+    ASSERT_EQ(Work.Decls.size(), 2u);
+    O.seedPrefix(Work, 1);
+    Work.Decls[1] = std::move(parse("let p = A").Decls[0]);
+    EXPECT_FALSE(O.typechecks(Work)) << "conventional pass: " << Conventional;
+  }
+
+  // The pass's environment belongs to the program it checked: a walk that
+  // replays another program with as long a passing prefix must seed from
+  // its own, where `a` is a string.
+  {
+    CheckpointedOracle O;
+    O.conventionalError(parse("let a = 1\nlet b = a ^ \"s\"\n"));
+    const Program Walked = parse("let a = \"s\"\nlet b = a + 1\n");
+    Program Work;
+    O.beginPrefixWalk(Work, Walked);
+    for (const DeclPtr &D : Walked.Decls) {
+      Work.Decls.push_back(D->clone());
+      if (!O.typechecks(Work))
+        break;
+    }
+    ASSERT_EQ(Work.Decls.size(), 2u);
+    O.seedPrefix(Work, 1);
+    Work.Decls[1] = std::move(parse("let p = a ^ \"t\"").Decls[0]);
+    EXPECT_TRUE(O.typechecks(Work));
+  }
+
+  // Whole searches through runSeminal, probing and slice-guided (which
+  // seeds from the pass with no walk): conventional messages, ranked
+  // reports and logical calls identical to the plain oracle's.
+  SeminalOptions Guided;
+  Guided.Search.SliceGuided = true;
+  for (const SeminalOptions &Opts : {SeminalOptions(), Guided})
+    for (const Program &P : Progs) {
+      const std::string Text = printProgram(P);
+      SeminalReport Base = plainReference(P, Opts);
+      SeminalReport R = runSeminal(P, Opts);
+      EXPECT_EQ(fingerprint(R), fingerprint(Base)) << Text;
+      EXPECT_EQ(R.OracleCalls, Base.OracleCalls) << Text;
+      EXPECT_EQ(R.SlicePrunedCalls, Base.SlicePrunedCalls) << Text;
+      EXPECT_EQ(diagnostic(R.CheckerError, R.FailingDeclIndex),
+                diagnostic(Base.CheckerError, Base.FailingDeclIndex))
+          << Text;
+    }
 }
 
 TEST(CheckpointedOracleTest, VerdictsMatchPlainOracleEverywhere) {

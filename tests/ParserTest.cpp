@@ -1,5 +1,6 @@
 //===- ParserTest.cpp - Tests for the mini-Caml parser ---------------------==//
 
+#include "core/Seminal.h"
 #include "minicaml/Parser.h"
 #include "minicaml/Printer.h"
 
@@ -401,6 +402,34 @@ TEST(ParserNestingTest, EveryRecursiveFormIsBounded) {
     ParseResult Shallow = parseProgram(F.Build(200));
     EXPECT_TRUE(Shallow.ok())
         << F.Name << ": " << (Shallow.Error ? Shallow.Error->str() : "");
+  }
+}
+
+TEST(ParserNestingTest, FailingProgramAtTheBoundIsSearchedEndToEnd) {
+  // The deepest programs the parser accepts must also survive everything
+  // downstream -- inference, the search, ranking and rendering -- on the
+  // default stack, including under AddressSanitizer. Parentheses drive the
+  // parser's own recursion deepest; the let-in chain nests the AST itself
+  // as deep, so inference and the search recurse as far. Each program's
+  // outermost expression holds the first level, so N repetitions nest
+  // N + 1 deep: exactly at the bound, and one more is rejected.
+  const size_t N = MaxNestingDepth - 1;
+  const std::function<std::string(size_t)> Forms[] = {
+      [](size_t K) {
+        return "let x = " + repeat("(", K) + "1 + \"a\"" + repeat(")", K);
+      },
+      [](size_t K) {
+        return "let x = " + repeat("let y = 1 in ", K) + "y + \"a\"";
+      },
+  };
+  for (const auto &Build : Forms) {
+    ASSERT_FALSE(parseProgram(Build(N + 1)).ok()) << Build(1);
+    SeminalReport R = runSeminalOnSource(Build(N));
+    EXPECT_FALSE(R.InputTypechecks) << Build(1);
+    ASSERT_TRUE(R.CheckerError.has_value()) << Build(1);
+    EXPECT_EQ(R.FailingDeclIndex, std::optional<unsigned>(0));
+    ASSERT_FALSE(R.Suggestions.empty()) << Build(1);
+    EXPECT_FALSE(R.bestMessage().empty());
   }
 }
 
