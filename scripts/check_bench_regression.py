@@ -5,16 +5,18 @@ Compares a freshly produced BENCH_*.json against its committed baseline
 (bench/BASELINE_*.json). The snapshot's "bench" field selects the gate:
 
 oracle_calls_accel (bench_oracle_calls):
-  * Deterministic counters must match the baseline exactly: the corpus is
-    seeded, so logical-call totals and suggestion divergences are
-    hardware-independent. Any drift means search behavior changed.
-  * The within-run acceleration speedup (accelerated vs unaccelerated
-    wall-clock, both measured on the same machine in the same process)
-    must stay above REGRESSION_FRACTION of the baseline's ratio. Absolute
-    wall-clock across CI runners is far noisier than 10%, but the *ratio*
-    cancels the hardware out; losing more than 10% of it means the
-    acceleration layer (or the tracing-disabled fast path it sits on)
-    regressed.
+  * Every configuration row's deterministic counters must match the
+    baseline exactly: the corpus is seeded, so logical calls, inference
+    runs, verdict-cache hits and misses, and the incremental/full split
+    are hardware-independent. Logical-call drift means search behavior
+    changed; inference-count drift means an acceleration layer now does
+    more (or less) work for the same search.
+  * No configuration may diverge from its in-run unaccelerated baseline
+    (suggestion and call-count mismatches pinned to zero).
+  * Wall-clock is not gated: the accelerated/unaccelerated ratio moves
+    with every speed-up of full inference and with machine load, so it
+    failed on unchanged code; the inference counts above carry the
+    acceleration contract instead.
 
 micro_allocs (bench_micro --json):
   * Each scenario's allocation count (the candidate waves through the
@@ -64,9 +66,6 @@ import sys
 from gate_common import (check_exact, check_floor, finish, load_snapshot,
                          make_parser, require_kind, require_same_identity)
 
-REGRESSION_FRACTION = 0.9  # fail if speedup drops below 90% of baseline
-
-
 def config_rows(failures, base, fresh):
     """Pairs up the per-configuration rows, flagging set changes."""
     base_rows = {r["name"]: r for r in base["configs"]}
@@ -85,20 +84,18 @@ def check_oracle_calls(base, fresh):
         check_exact(failures, f"[{name}] logical_calls",
                     f["logical_calls"], b["logical_calls"],
                     "search behavior changed")
+        for key in ("inference_runs", "cache_hits", "cache_misses",
+                    "incremental", "full"):
+            check_exact(failures, f"[{name}] {key}", f.get(key), b[key],
+                        "acceleration work changed; re-base deliberately")
         if f["suggestion_mismatches"] != 0 or f["call_count_mismatches"] != 0:
             failures.append(
                 f"[{name}] diverged from its in-run baseline: "
                 f"{f['suggestion_mismatches']} suggestion / "
                 f"{f['call_count_mismatches']} call-count mismatches")
-
-    base_speedup = base.get("speedup_wall", 0.0)
-    fresh_speedup = fresh.get("speedup_wall", 0.0)
-    floor = base_speedup * REGRESSION_FRACTION
-    check_floor(failures, "speedup_wall", fresh_speedup, floor,
-                "acceleration or the tracing-disabled fast path "
-                "regressed >10%")
-    print(f"baseline speedup {base_speedup:.2f}x, fresh "
-          f"{fresh_speedup:.2f}x (floor {floor:.2f}x)")
+        print(f"[{name}] logical {f['logical_calls']}, inference "
+              f"{f.get('inference_runs')} ({f.get('incremental')} "
+              f"incremental + {f.get('full')} full)")
     return failures
 
 

@@ -42,7 +42,6 @@ void CheckpointedOracle::resetSession() {
   CurrentSource.clear();
   HaveCurrentSource = false;
   SeedPrefixIds.clear();
-  SeedFailingId = AstArena::InvalidId;
   endWalk();
   ConvClone = Program();
   HasConvMemo = false;
@@ -85,12 +84,12 @@ TypecheckResult CheckpointedOracle::conventionalPass(const Program &Prog) {
   TypecheckResult R;
   ConvGrowth = InferenceCheckpoint::create(Prog, 0);
   for (unsigned I = 0; I < Prog.Decls.size(); ++I) {
-    if (ConvGrowth->extendWith(*Prog.Decls[I], nullptr, &R.Error))
+    if (ConvGrowth->extendWith(*Prog.Decls[I], &R.Error))
       continue;
     R.ErrorDeclIndex = I;
     if (Prog.Decls[I]->kind() != Decl::Kind::Let)
-      // As in growthExtend: a failed type/exception declaration may leave
-      // partial constructor table entries behind.
+      // A failed type/exception declaration may leave partial constructor
+      // table entries behind; the environment can no longer be trusted.
       ConvGrowth.reset();
     return R;
   }
@@ -102,27 +101,31 @@ std::optional<TypeError>
 CheckpointedOracle::conventionalError(const Program &Prog) {
   endWalk(); // Request boundary: the previous run's walk hint expires.
   ConvPassing.reset();
+  ConvReplayed = false;
   ConvGrowth.reset();
   // Session fast path: an edit past the failing declaration cannot change
   // the diagnostic (the checker aborts at the first error), so replay it.
+  // It answers the localization walk as well: declarations 0..ErrIdx are
+  // span- and structure-identical to the memo's, so prefixes of up to
+  // ErrIdx declarations pass and the one ending at ErrIdx fails.
   if (SessionRetention && SessionConv.Valid && HaveCurrentSource &&
       convMemoApplies(Prog)) {
     ++Counters.SessionConvMemoHits;
-    if (Accel.VerdictCache) {
-      // The searcher's opening whole-program probe still gets its memo.
-      ConvClone = Prog.clone();
-      ConvOk = false;
-      HasConvMemo = true;
-    }
+    // The searcher's opening whole-program probe still gets its memo
+    // (session retention implies the verdict-cache layer).
+    ConvClone = Prog.clone();
+    ConvOk = false;
+    HasConvMemo = true;
+    ConvPassing = SessionConv.ErrIdx;
+    ConvReplayed = true;
     HaveCurrentSource = false;
     return SessionConv.Error;
   }
 
   // Rendered once per run to show the baseline message; not search work,
-  // so it stays out of the counters. With the checkpoint layer on (and
-  // outside session mode, whose walks are served from retained state) the
+  // so it stays out of the counters. With the checkpoint layer on, the
   // same pass also decides every localization probe in advance.
-  const bool Pass = Accel.Checkpoint && !SessionRetention;
+  const bool Pass = Accel.Checkpoint;
   TypecheckResult R = Pass ? conventionalPass(Prog) : typecheckProgram(Prog);
   if (Pass)
     ConvPassing = R.ErrorDeclIndex.value_or(unsigned(Prog.Decls.size()));
@@ -160,13 +163,13 @@ CheckpointedOracle::conventionalError(const Program &Prog) {
 }
 
 void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
-  // An environment grown under the walk hint over this very program --
-  // by the walk itself, or by the conventional pass of the program the
-  // walk replays -- covers its first prefixLength() declarations; take it
-  // before clearPrefix() ends the walk.
+  // The conventional pass's environment covers the first prefixLength()
+  // declarations of the program it checked; under a walk hint that
+  // replays that program they are this one's first declarations too.
+  // Take it before clearPrefix() ends the walk.
   std::unique_ptr<InferenceCheckpoint> Grown;
-  if (WalkProg == &Prog)
-    Grown = std::move(WalkReplaysConv ? ConvGrowth : Growth);
+  if (WalkProg == &Prog && WalkReplaysConv)
+    Grown = std::move(ConvGrowth);
   clearPrefix();
   if (EditedDecl >= Prog.Decls.size())
     return;
@@ -186,18 +189,15 @@ void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
     SeedPrefixIds.reserve(EditedDecl);
     for (unsigned I = 0; I < EditedDecl; ++I)
       SeedPrefixIds.push_back(TheArena->internDecl(*Prog.Decls[I]));
-    SeedFailingId = TheArena->internDecl(*Prog.Decls[EditedDecl]);
     SessionMatch = Retained.Valid && Retained.PrefixIds == SeedPrefixIds;
   }
 
-  // If localization just grew an environment that covers exactly this
-  // prefix, adopt it -- seeding costs nothing. The walk hint is the
-  // validity condition: the walk only appended to Prog, so its first
-  // EditedDecl declarations are the ones the environment committed.
-  if (Accel.Checkpoint && Grown && Grown->prefixLength() == EditedDecl) {
+  // If the pass left an environment that covers exactly this prefix,
+  // adopt it -- seeding costs nothing.
+  if (Grown && Grown->prefixLength() == EditedDecl) {
     Checkpoint = std::move(Grown);
     ++Counters.CheckpointSeeds;
-    // The environment came from this request's walk, but last request's
+    // The environment came from this request's pass, but last request's
     // verdicts are conditioned on this same prefix -- take them too.
     if (SessionMatch)
       adoptRetainedCaches();
@@ -237,7 +237,6 @@ void CheckpointedOracle::stashSessionState() {
     return;
   Retained.Valid = true;
   Retained.PrefixIds = std::move(SeedPrefixIds);
-  Retained.FailingId = SeedFailingId;
   Retained.Checkpoint = std::move(Checkpoint);
   for (auto &KV : VerdictById)
     KV.second |= RetainedBit;
@@ -255,7 +254,6 @@ void CheckpointedOracle::clearPrefix() {
   // arena's interned nodes stay valid across prefixes (and requests).
   VerdictById.clear();
   SeedPrefixIds.clear();
-  SeedFailingId = AstArena::InvalidId;
   endWalk();
   // A conventional-pass environment no seed took (e.g. the program
   // failed in a type declaration) goes with the run.
@@ -274,8 +272,6 @@ void CheckpointedOracle::beginPrefixWalk(const Program &Prog,
 void CheckpointedOracle::endWalk() {
   WalkProg = nullptr;
   WalkReplaysConv = false;
-  Growth.reset();
-  WalkIds.clear();
 }
 
 bool CheckpointedOracle::tryConvPassProbe(const Program &Prog, bool &Verdict) {
@@ -287,8 +283,13 @@ bool CheckpointedOracle::tryConvPassProbe(const Program &Prog, bool &Verdict) {
   const size_t N = Prog.Decls.size();
   if (N > *ConvPassing + 1)
     return false;
-  ++Counters.CacheHits;
-  LastServedBy = "conv-pass";
+  if (ConvReplayed) {
+    ++Counters.SessionPrefixHits;
+    LastServedBy = "session-prefix";
+  } else {
+    ++Counters.CacheHits;
+    LastServedBy = "conv-pass";
+  }
   LastCacheHit = true;
   Verdict = N <= *ConvPassing;
   return true;
@@ -299,106 +300,6 @@ std::optional<unsigned> CheckpointedOracle::failingDecl(const Program &Prog) {
   if (ConvPassing && Prog.equals(ConvClone))
     return *ConvPassing < Prog.Decls.size() ? ConvPassing : std::nullopt;
   return Oracle::failingDecl(Prog);
-}
-
-bool CheckpointedOracle::growthExtend(const Decl &D, bool &Verdict) {
-  // Committing the declaration performs exactly the inference a full run
-  // would perform on it -- but skips re-inferring everything before it.
-  ++Counters.IncrementalInferences;
-  Counters.DeclInferencesSaved += Growth->prefixLength();
-  LastServedBy = "growth-extend";
-  if (MetricsOut)
-    MetricsOut->observe(metric::CheckpointReuseDepth,
-                        double(Growth->prefixLength()));
-  size_t Allocated = 0;
-  Verdict = Growth->extendWith(D, &Allocated);
-  Counters.TypesAllocated += Allocated;
-  if (!Verdict && D.kind() != Decl::Kind::Let)
-    // A failed type/exception declaration may leave partial constructor
-    // table entries behind; the environment can no longer be trusted.
-    Growth.reset();
-  return true;
-}
-
-bool CheckpointedOracle::trySessionProbe(const Program &Prog, bool &Verdict) {
-  if (!SessionRetention || !Retained.Valid || Seeded || !Accel.Checkpoint)
-    return false;
-  const size_t N = Prog.Decls.size();
-  const size_t P = Retained.PrefixIds.size();
-  if (N == 0 || N > P + 1)
-    return false;
-  // The hinted walk only appends, so the ids interned for earlier probes
-  // still name the same declarations: each probe interns one new tree.
-  while (WalkIds.size() < N)
-    WalkIds.push_back(TheArena->internDecl(*Prog.Decls[WalkIds.size()]));
-  syncArenaStats();
-  // Everything but (possibly) the last declaration must match the
-  // retained known-good prefix; an interior divergence means this is not
-  // a walk over the program the session knows.
-  size_t Match = 0;
-  while (Match < N && Match < P && WalkIds[Match] == Retained.PrefixIds[Match])
-    ++Match;
-  if (Match + 1 < N)
-    return false;
-  if (Match == N) {
-    // Wholly inside the prefix the previous request proved good.
-    ++Counters.SessionPrefixHits;
-    LastServedBy = "session-prefix";
-    LastCacheHit = true;
-    Verdict = true;
-    return true;
-  }
-  const AstArena::DeclId LastId = WalkIds[N - 1];
-  if (N == P + 1 && LastId == Retained.FailingId) {
-    // The previous request proved exactly this declaration fails on top
-    // of exactly this prefix.
-    ++Counters.SessionPrefixHits;
-    LastServedBy = "session-prefix";
-    LastCacheHit = true;
-    Verdict = false;
-    return true;
-  }
-  // A novel last declaration over a known-good prefix: the user edited
-  // the failing declaration (N == P + 1) or a prefix declaration
-  // (N <= P). Build a growth environment so this probe and the rest of
-  // the walk run incrementally instead of falling to full inference.
-  if (Growth)
-    return false; // A walk is already growing; let it serve.
-  if (N == P + 1 && Retained.Checkpoint &&
-      Retained.Checkpoint->prefixLength() == P) {
-    // The retained environment covers the whole prefix -- it becomes the
-    // growth environment directly (its verdict cache stays retained: if
-    // the edited declaration still fails, seedPrefix re-adopts it).
-    Growth = std::move(Retained.Checkpoint);
-    return growthExtend(*Prog.Decls[N - 1], Verdict);
-  }
-  // Prefix edit: the declarations before the divergence are known good,
-  // so snapshot them in one pass and grow from there. (Cold behavior
-  // here would re-infer the full prefix on every remaining probe.)
-  Growth = InferenceCheckpoint::create(Prog, unsigned(N - 1));
-  if (!Growth)
-    return false;
-  return growthExtend(*Prog.Decls[N - 1], Verdict);
-}
-
-bool CheckpointedOracle::tryGrowthPath(const Program &Prog, bool &Verdict) {
-  if (!Accel.Checkpoint || Seeded)
-    return false;
-  const size_t N = Prog.Decls.size();
-  // The grown prefix plus exactly one new declaration? (The localization
-  // loop asks precisely this, one declaration longer per call.) The walk
-  // only appends, so the length alone says so -- no tree is compared.
-  if (Growth && N == size_t(Growth->prefixLength()) + 1)
-    return growthExtend(*Prog.Decls[N - 1], Verdict);
-  if (N == 1) {
-    // A fresh localization walk starts here: snapshot the bare standard
-    // library (prefix length zero never fails) and grow from it.
-    Growth = InferenceCheckpoint::create(Prog, 0);
-    if (!Growth)
-      return false;
-    return growthExtend(*Prog.Decls[0], Verdict);
-  }
-  return false;
 }
 
 bool CheckpointedOracle::matchesSeed(const Program &Prog) const {
@@ -455,11 +356,6 @@ bool CheckpointedOracle::typecheckImpl(const Program &Prog) {
       LastCacheHit = true;
       return ConvOk;
     }
-    // Walk state serves only the hinted walk's own probes; any other
-    // caller gets full inference below.
-    if (&Prog == WalkProg &&
-        (trySessionProbe(Prog, Verdict) || tryGrowthPath(Prog, Verdict)))
-      return Verdict;
     if (Seeded)
       ++Counters.CheckpointFallbacks;
     ++Counters.FullInferences;

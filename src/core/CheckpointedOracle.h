@@ -29,34 +29,27 @@
 /// as in the paper's Figure 1.
 ///
 /// Further fast paths cover the calls issued *before* seedPrefix(). The
-/// conventional checker stops at the first error, so with the checkpoint
-/// layer on conventionalError() runs as one incremental pass: it commits
-/// declarations one at a time to a checkpoint and keeps the first error,
-/// which yields the diagnostic, its declaration index K and the
-/// environment of the passing prefix at once. The searcher's
-/// prefix-localization loop ("do the first k declarations type-check?",
-/// k growing by one per call) announces itself with beginPrefixWalk(Work,
-/// Input): the probes are one Program object that the caller only appends
-/// copies of Input's declarations to. When Input is the program the
-/// conventional pass checked, probes 1..K are answered true and probe K+1
-/// false without inference (counted as cache hits), and seedPrefix adopts
-/// the pass's environment, making seeding free. The slice-guided search
-/// skips the probes: failingDecl() answers K from the same pass, and it
-/// builds its working program under the same hint, so it seeds the same
-/// way.
-///
-/// The walk still grows its own environment in session mode (whose walks
-/// are served from retained state instead) and when conventionalError()
-/// did not check Input: a probe one declaration longer than the grown
-/// prefix extends a persistent environment by that one declaration
-/// without comparing a single tree, so the whole walk costs one inference
-/// per declaration, and seedPrefix adopts the grown environment. Neither
-/// path hands on an environment past a failed type or exception
-/// declaration, whose partial constructor entries cannot be trusted. A
-/// caller that gives no hint gets full inference. The initial
-/// whole-program check reuses the conventionalError() verdict (confirmed
-/// by deep equality) instead of running inference twice on the same
-/// program.
+/// conventional checker stops at the first error, so its answer decides
+/// every probe of the searcher's prefix-localization loop ("do the first
+/// k declarations type-check?", k growing by one per call). With the
+/// checkpoint layer on, conventionalError() runs as one incremental pass:
+/// it commits declarations one at a time to a checkpoint and keeps the
+/// first error, which yields the diagnostic, its declaration index K and
+/// the environment of the passing prefix at once. The loop announces
+/// itself with beginPrefixWalk(Work, Input): the probes are one Program
+/// object that the caller only appends copies of Input's declarations
+/// to. When Input is the program conventionalError() checked, probes
+/// 1..K are answered true and probe K+1 false without inference (counted
+/// as cache hits), and seedPrefix adopts the pass's environment, making
+/// seeding free. The pass hands on no environment past a failed type or
+/// exception declaration, whose partial constructor entries cannot be
+/// trusted. The slice-guided search skips the probes: failingDecl()
+/// answers K from the same pass, and it builds its working program under
+/// the same hint, so it seeds the same way. A walk over any other
+/// program, and a caller that gives no hint, gets full inference. The
+/// initial whole-program check reuses the conventionalError() verdict
+/// (confirmed by deep equality) instead of running inference twice on
+/// the same program.
 ///
 /// Both layers toggle independently via OracleAccelOptions so the
 /// ablation benches can attribute savings; the arena itself is always
@@ -68,11 +61,14 @@
 /// are stashed keyed on the prefix's interned declaration ids and
 /// re-adopted when a later request seeds an id-identical prefix. An
 /// edit-resubmit from an editor then costs near-zero inference: the
-/// localization walk is answered from the retained known-good prefix
-/// (SessionPrefixHits), seeding re-installs the retained environment
-/// (SessionSeedAdoptions), candidate verdicts replay from the retained
-/// cache (SessionVerdictReuses), and the conventional message replays
-/// from a source-prefix memo (SessionConvMemoHits). Verdicts and ranked
+/// conventional message replays from a source-prefix memo
+/// (SessionConvMemoHits), and the replayed diagnostic answers the
+/// localization walk as the pass would (SessionPrefixHits); seeding
+/// re-installs the retained environment (SessionSeedAdoptions), and
+/// candidate verdicts replay from the retained cache
+/// (SessionVerdictReuses). When the memo does not apply, the pass runs
+/// as in a one-shot check, and its seed still takes the retained
+/// verdicts if the prefix interns to the same ids. Verdicts and ranked
 /// suggestions stay bit-identical to a cold run; only the work changes.
 ///
 //===----------------------------------------------------------------------===//
@@ -159,13 +155,7 @@ private:
   /// inference counters.
   bool inferEditedDecl(const caml::Decl &D, const caml::Program &Fallback);
 
-  /// Serves a probe of the hinted walk that is the grown prefix plus
-  /// exactly one new declaration (or a fresh single-declaration start) by
-  /// extending the growth environment. \returns true with \p Verdict
-  /// filled when the call was handled.
-  bool tryGrowthPath(const caml::Program &Prog, bool &Verdict);
-  bool growthExtend(const caml::Decl &D, bool &Verdict);
-  /// Expires the walk hint and drops everything grown under it.
+  /// Expires the walk hint.
   void endWalk();
 
   /// The conventional check as one incremental pass: grows ConvGrowth a
@@ -174,16 +164,10 @@ private:
   /// would.
   caml::TypecheckResult conventionalPass(const caml::Program &Prog);
   /// Serves a probe of a walk that replays the conventional program from
-  /// that pass, with no inference. \returns true when handled.
+  /// that pass, or from the session memo that replayed it, with no
+  /// inference. \returns true when handled.
   bool tryConvPassProbe(const caml::Program &Prog, bool &Verdict);
 
-  /// Serves a probe of the hinted walk from the previous request's
-  /// retained prefix knowledge: probes wholly inside the retained
-  /// known-good prefix are answered true without inference, the retained
-  /// failing declaration is answered false, and a novel last declaration
-  /// turns the retained checkpoint into a growth environment so the rest
-  /// of the walk runs incrementally. \returns true when handled.
-  bool trySessionProbe(const caml::Program &Prog, bool &Verdict);
   /// Moves the live seed state (checkpoint, verdict cache) into Retained,
   /// keyed on the seed's interned prefix ids; called from clearPrefix in
   /// session mode.
@@ -203,11 +187,6 @@ private:
   /// lifetime is the caller's; it is compared, never dereferenced outside
   /// a call that passes the same object.
   const caml::Program *WalkProg = nullptr;
-  /// Environment grown one committed declaration at a time over WalkProg
-  /// while the searcher localizes the failing declaration: it covers
-  /// WalkProg's first prefixLength() declarations, and seedPrefix adopts
-  /// it when that is exactly the seed prefix.
-  std::unique_ptr<caml::InferenceCheckpoint> Growth;
   /// Copy of the last conventionalError() program. With the verdict-cache
   /// layer (HasConvMemo) it and ConvOk serve the searcher's initial
   /// whole-program check without a second inference run; with the
@@ -216,10 +195,13 @@ private:
   bool HasConvMemo = false;
   bool ConvOk = false;
   /// Set when the last conventionalError() ran as conventionalPass()
-  /// (checkpoint layer on, session retention off): ConvClone's first
-  /// *ConvPassing declarations type-check, and the next one, if any,
-  /// fails.
+  /// (checkpoint layer on) or replayed the session memo: ConvClone's
+  /// first *ConvPassing declarations type-check, and the next one, if
+  /// any, fails.
   std::optional<unsigned> ConvPassing;
+  /// ConvPassing came from the session memo, so the walk's answers count
+  /// as SessionPrefixHits rather than cache hits.
+  bool ConvReplayed = false;
   /// That pass's environment of the passing prefix. Null when the program
   /// type-checks or failed in a type/exception declaration; adopted by
   /// seedPrefix() under a walk hint that replays the pass, dropped at
@@ -251,13 +233,11 @@ private:
   bool SessionRetention = false;
   /// Seed state stashed at clearPrefix, keyed on the prefix's interned
   /// ids. Everything here is conditioned on exactly that prefix: the
-  /// checkpoint snapshots its environment, the verdict flags answer "does
-  /// this edited declaration type-check after it", and FailingId is the
-  /// declaration known to fail on top of it.
+  /// checkpoint snapshots its environment, and the verdict flags answer
+  /// "does this edited declaration type-check after it".
   struct RetainedSeed {
     bool Valid = false;
     std::vector<caml::AstArena::DeclId> PrefixIds;
-    caml::AstArena::DeclId FailingId = caml::AstArena::InvalidId;
     std::unique_ptr<caml::InferenceCheckpoint> Checkpoint;
     std::unordered_map<caml::AstArena::DeclId, uint8_t> Verdicts;
   };
@@ -282,16 +262,9 @@ private:
   std::string CurrentSource; ///< From primeConventional, one request.
   bool HaveCurrentSource = false;
 
-  /// The live seed's interned identity (prefix ids + failing decl id),
-  /// computed once at seedPrefix in session mode for the later stash.
+  /// The live seed's interned prefix ids, computed once at seedPrefix in
+  /// session mode for the later stash.
   std::vector<caml::AstArena::DeclId> SeedPrefixIds;
-  caml::AstArena::DeclId SeedFailingId = caml::AstArena::InvalidId;
-
-  /// Interned ids of WalkProg's first declarations, filled as the hinted
-  /// walk probes them (session mode): the walk only appends, so each
-  /// probe interns exactly one new tree instead of the whole prefix.
-  /// Dropped with the hint.
-  std::vector<caml::AstArena::DeclId> WalkIds;
 };
 
 } // namespace seminal

@@ -91,12 +91,12 @@ public:
   /// every queried program is \p Prog itself -- this one object -- and the
   /// caller only appends declarations to it between queries, each a copy
   /// of the next declaration of \p Source (the prefix localization walk
-  /// of Section 2.1). Accelerated oracles then serve a probe one
-  /// declaration longer than the last by inferring just the new
-  /// declaration, or with no inference at all when \p Source is the
-  /// program conventionalError() last checked; the default ignores the
-  /// hint. An unhinted caller is answered by full inference, never by
-  /// trusting object identity.
+  /// of Section 2.1). Accelerated oracles then answer the probes with no
+  /// inference when \p Source is the program conventionalError() last
+  /// checked, since that check stopped at the first failing declaration;
+  /// the default ignores the hint. A walk over any other program, and an
+  /// unhinted caller, is answered by full inference, never by trusting
+  /// object identity.
   virtual void beginPrefixWalk(const caml::Program &Prog,
                                const caml::Program &Source) {}
 
@@ -143,8 +143,7 @@ protected:
   // setting these before returning; the traced wrappers stamp them onto
   // the call's span. Plain oracles leave the defaults.
   /// Which acceleration layer answered ("full-inference", "verdict-cache",
-  /// "checkpoint-incremental", "growth-extend", "conv-memo", "conv-pass",
-  /// "session-prefix").
+  /// "checkpoint-incremental", "conv-memo", "conv-pass", "session-prefix").
   const char *LastServedBy = "full-inference";
   /// True when the verdict came from a memo rather than inference.
   bool LastCacheHit = false;

@@ -65,10 +65,8 @@ public:
 
   /// Commit-or-rollback: processes \p D permanently if it type-checks,
   /// restores the environment if it does not. \returns success; \p
-  /// TypesAllocated, when non-null, receives this call's allocations, and
-  /// \p Error, when non-null, the diagnostic of a failure.
-  bool extendDecl(const Decl &D, size_t *TypesAllocated,
-                  std::optional<TypeError> *Error);
+  /// Error, when non-null, receives the diagnostic of a failure.
+  bool extendDecl(const Decl &D, std::optional<TypeError> *Error);
 
 private:
   // Environment -----------------------------------------------------------
@@ -1048,8 +1046,7 @@ TypecheckResult Inferencer::checkAdditionalDecl(const Decl &D,
   return Result;
 }
 
-bool Inferencer::extendDecl(const Decl &D, size_t *TypesAllocated,
-                            std::optional<TypeError> *Error) {
+bool Inferencer::extendDecl(const Decl &D, std::optional<TypeError> *Error) {
   const size_t EnvMark = Env.size();
   const size_t TopMark = TopLevel.size();
   const TypeArena::Mark AMark = Arena.mark();
@@ -1064,8 +1061,6 @@ bool Inferencer::extendDecl(const Decl &D, size_t *TypesAllocated,
     QueriedTy = nullptr;
     processDecl(D);
     Succeeded = !hasError();
-    if (TypesAllocated)
-      *TypesAllocated = Arena.numAllocated() - AMark.Nodes;
     // The message was rendered when the error was reported, against the
     // types as they stood then; the rollback below cannot change it.
     if (Error)
@@ -1122,9 +1117,9 @@ TypecheckResult InferenceCheckpoint::checkDecl(const Decl &D,
   return TheImpl->Inf.checkAdditionalDecl(D, Opts);
 }
 
-bool InferenceCheckpoint::extendWith(const Decl &D, size_t *TypesAllocated,
+bool InferenceCheckpoint::extendWith(const Decl &D,
                                      std::optional<TypeError> *Error) {
-  if (!TheImpl->Inf.extendDecl(D, TypesAllocated, Error))
+  if (!TheImpl->Inf.extendDecl(D, Error))
     return false;
   ++PrefixLen;
   return true;

@@ -134,8 +134,7 @@ public:
   /// Permanently extends the prefix with \p D (any declaration kind).
   /// On success the declaration's bindings are committed and
   /// prefixLength() grows by one; on failure every unification side
-  /// effect is rolled back and the prefix is unchanged. \p TypesAllocated,
-  /// when non-null, receives this call's allocation count. \p Error, when
+  /// effect is rolled back and the prefix is unchanged. \p Error, when
   /// non-null, receives the failing declaration's diagnostic (reset on
   /// success): the same TypeError a whole-program typecheckProgram()
   /// reports when this declaration is the first to fail, so growing a
@@ -146,8 +145,7 @@ public:
   /// entries in the constructor/record tables (those are not trailed), so
   /// after extendWith returns false for a non-Let declaration the
   /// checkpoint must be discarded. A failed Let rolls back completely.
-  bool extendWith(const Decl &D, size_t *TypesAllocated = nullptr,
-                  std::optional<TypeError> *Error = nullptr);
+  bool extendWith(const Decl &D, std::optional<TypeError> *Error = nullptr);
 
 private:
   InferenceCheckpoint();

@@ -2,6 +2,7 @@
 
 #include "server/Protocol.h"
 
+#include "core/Searcher.h"
 #include "support/Trace.h" // jsonEscape
 
 #include <algorithm>
@@ -101,7 +102,11 @@ Request server::parseRequest(const std::string &Line) {
     int64_t MaxSuggestions = Doc.getInt("max_suggestions", 0);
     int64_t MaxCalls = Doc.getInt("max_oracle_calls", 0);
     R.MaxSuggestions = MaxSuggestions > 0 ? size_t(MaxSuggestions) : 0;
-    R.MaxOracleCalls = MaxCalls > 0 ? size_t(MaxCalls) : 0;
+    // A client may lower the server's oracle-call budget, never raise it:
+    // one request must not pin its shard for longer than a default search.
+    R.MaxOracleCalls =
+        MaxCalls > 0 ? std::min(size_t(MaxCalls), SearchOptions().MaxOracleCalls)
+                     : 0;
     R.WantReport = Doc.getBool("report", false);
   } else if (Method == "reset") {
     R.TheMethod = Request::Method::Reset;

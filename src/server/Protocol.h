@@ -69,6 +69,7 @@ struct Request {
   std::string Source;
   /// 0 = use the server default.
   size_t MaxSuggestions = 0;
+  /// 0 = use the server default; at most SearchOptions().MaxOracleCalls.
   size_t MaxOracleCalls = 0;
   /// Embed the full RunReport JSON in the check response.
   bool WantReport = false;

@@ -4,6 +4,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 using namespace seminal;
@@ -59,7 +60,16 @@ std::string Value::getString(const std::string &Key,
 
 int64_t Value::getInt(const std::string &Key, int64_t Default) const {
   const Value *V = member(Key);
-  return V && V->isNumber() ? int64_t(V->Number) : Default;
+  if (!V || !V->isNumber())
+    return Default;
+  // Saturate: converting an out-of-range double is undefined, and request
+  // fields are client-controlled ("max_oracle_calls": 1e300).
+  constexpr double Limit = 9223372036854775808.0; // 2^63
+  if (V->Number >= Limit)
+    return INT64_MAX;
+  if (!(V->Number > -Limit))
+    return INT64_MIN;
+  return int64_t(V->Number);
 }
 
 bool Value::getBool(const std::string &Key, bool Default) const {

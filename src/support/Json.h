@@ -67,7 +67,8 @@ public:
   /// The member's string value, or \p Default when absent / wrong type.
   std::string getString(const std::string &Key,
                         const std::string &Default = "") const;
-  /// The member's numeric value truncated to int64, or \p Default.
+  /// The member's numeric value truncated to int64 (saturating outside
+  /// its range), or \p Default when absent / wrong type.
   int64_t getInt(const std::string &Key, int64_t Default = 0) const;
   bool getBool(const std::string &Key, bool Default = false) const;
 

@@ -29,7 +29,9 @@ namespace seminal {
 /// so both the oracle and the bench harnesses can consume them without a
 /// dependency cycle.
 struct AccelCounters {
-  /// Type-check verdicts served straight from the verdict cache.
+  /// Type-check verdicts served without inference: from the verdict
+  /// cache, or from this request's conventional check (its whole-program
+  /// verdict, or its pass answering the localization walk).
   uint64_t CacheHits = 0;
   /// Lookups that missed and had to run inference.
   uint64_t CacheMisses = 0;
@@ -54,11 +56,11 @@ struct AccelCounters {
   uint64_t ArenaHits = 0;
   uint64_t ArenaBytes = 0;
   /// Session warm-state reuse (server mode; all zero for one-shot runs).
-  /// Localization probes answered from a prefix the session already
-  /// proved (no inference), verdicts served from a verdict cache retained
-  /// from an earlier request with an id-identical prefix, prefix
-  /// checkpoints re-adopted wholesale at seedPrefix, and conventional
-  /// errors served from the session's source-prefix memo.
+  /// Localization probes answered by a conventional error replayed from
+  /// the session's memo (no inference), verdicts served from a verdict
+  /// cache retained from an earlier request with an id-identical prefix,
+  /// retained seeds re-adopted at seedPrefix, and conventional errors
+  /// served from the session's source-prefix memo.
   uint64_t SessionPrefixHits = 0;
   uint64_t SessionVerdictReuses = 0;
   uint64_t SessionSeedAdoptions = 0;

@@ -290,12 +290,14 @@ TEST(CheckpointedOracleTest, UnseededFallsBackToFullInference) {
 
 TEST(CheckpointedOracleTest, LocalizationPatternIsServedIncrementally) {
   // The searcher's prefix-localization loop: one working program, one
-  // declaration appended per round, announced by beginPrefixWalk(). Every
-  // round should extend the growth environment instead of running
-  // whole-program inference.
+  // declaration appended per round, announced by beginPrefixWalk() after
+  // the conventional check of the program it replays. That check stopped
+  // at the first failing declaration, so it answers every round with no
+  // inference, and seeding adopts the environment it grew.
   Program P = parse("let a = 1\nlet b = a + 1\nlet c = b + 2\n"
                     "let d = c ^ \"s\"");
   CheckpointedOracle O;
+  ASSERT_TRUE(O.conventionalError(P));
   Program Work;
   O.beginPrefixWalk(Work, P);
   for (unsigned Len = 1; Len <= P.Decls.size(); ++Len) {
@@ -306,34 +308,31 @@ TEST(CheckpointedOracleTest, LocalizationPatternIsServedIncrementally) {
     EXPECT_EQ(O.typechecks(Work), caml::typecheckProgram(Truth).ok())
         << "prefix length " << Len;
   }
-  EXPECT_EQ(O.counters().FullInferences, 0u);
-  EXPECT_EQ(O.counters().IncrementalInferences, P.Decls.size());
-  // Each round re-checked only the new declaration: 0+1+2+3 skipped.
-  EXPECT_EQ(O.counters().DeclInferencesSaved, 0u + 1u + 2u + 3u);
+  EXPECT_EQ(O.inferenceRuns(), 0u);
+  EXPECT_EQ(O.counters().CacheHits, P.Decls.size());
   // Seeding the walked object ends the walk; the seeded probe is served
-  // incrementally from the seed checkpoint.
+  // incrementally from the adopted environment of all three passing
+  // declarations.
   O.seedPrefix(Work, 3);
   EXPECT_EQ(O.counters().CheckpointSeeds, 1u);
   EXPECT_FALSE(O.typechecks(Work));
   EXPECT_EQ(O.counters().FullInferences, 0u);
-  EXPECT_EQ(O.counters().IncrementalInferences, P.Decls.size() + 1);
+  EXPECT_EQ(O.counters().IncrementalInferences, 1u);
+  EXPECT_EQ(O.counters().DeclInferencesSaved, 3u);
 }
 
 TEST(CheckpointedOracleTest, UnhintedCallersGetFullInferenceAndExactVerdicts) {
   // Programs are parsed, probed and freed round after round, so Program
   // and declaration addresses get reused. Each round first runs hinted
-  // walks (a whole search, then a bare walk ended by clearPrefix or
-  // conventionalError; the bare walk replays the search's conventional
-  // program in half the rounds and grows its own environment after an
-  // unrelated conventionalError in the others) and then probes prefixes
-  // of two programs as fresh
-  // objects, the unhinted shape: each prefix of one program is followed
-  // by the other's prefix one declaration longer, which a length-only
-  // growth check would take for the next step of a walk. Nothing a hinted
-  // walk leaves behind may serve those probes: each multi-declaration
-  // probe runs full inference and agrees with the plain oracle. The
-  // session-retention oracle additionally holds a retained prefix the
-  // probes share.
+  // walks (a whole search, then a bare walk that replays the search's
+  // conventional program, ended by clearPrefix or conventionalError) and
+  // then probes prefixes of two programs as fresh objects, the unhinted
+  // shape: each prefix of one program is followed by the other's prefix
+  // one declaration longer, which a length-only check would take for the
+  // next step of a walk. Nothing a hinted walk leaves behind may serve
+  // those probes: each multi-declaration probe runs full inference and
+  // agrees with the plain oracle. The session-retention oracle
+  // additionally holds a retained prefix the probes share.
   const char *Sources[] = {
       "let base = 1\nlet inc x = x + base\ntype t = A | B of int\n"
       "let f v = match v with A -> 0 | B n -> inc n\nlet bad = f 1\n",
@@ -361,8 +360,6 @@ TEST(CheckpointedOracleTest, UnhintedCallersGetFullInferenceAndExactVerdicts) {
         runSeminalWithOracle(*O, *W, SeminalOptions());
       }
       {
-        if (Round % 4 >= 2)
-          O->conventionalError(parse("let z = 0"));
         auto W = std::make_unique<Program>();
         O->beginPrefixWalk(*W, WalkedWhole);
         for (const DeclPtr &D : WalkedWhole.Decls) {
@@ -402,9 +399,10 @@ TEST(CheckpointedOracleTest, UnhintedCallersGetFullInferenceAndExactVerdicts) {
 
 TEST(CheckpointedOracleTest, HintedWalkIsLinearOnALargeProgram) {
   // Copies of the five assignment templates until the program has at
-  // least 2,000 declarations, then one failing declaration. The hinted
-  // walk must infer each declaration once, incrementally, and never the
-  // whole program.
+  // least 2,000 declarations, then one failing declaration. The
+  // conventional check commits each declaration once; the hinted walk
+  // after it must run no inference at all, and seeding must take the
+  // check's environment instead of re-inferring the prefix.
   Program P;
   while (P.Decls.size() < 2000)
     for (const AssignmentTemplate &A : assignmentTemplates())
@@ -423,6 +421,7 @@ TEST(CheckpointedOracleTest, HintedWalkIsLinearOnALargeProgram) {
   ASSERT_EQ(FirstFailing, N - 1);
 
   CheckpointedOracle O;
+  ASSERT_TRUE(O.conventionalError(P));
   Program Work;
   O.beginPrefixWalk(Work, P);
   for (size_t Len = 1; Len <= N; ++Len) {
@@ -433,9 +432,14 @@ TEST(CheckpointedOracleTest, HintedWalkIsLinearOnALargeProgram) {
       ASSERT_EQ(Verdict, typecheckProgram(Work).ok())
           << "prefix length " << Len;
   }
-  EXPECT_EQ(O.counters().FullInferences, 0u);
-  EXPECT_EQ(O.counters().IncrementalInferences, N);
+  EXPECT_EQ(O.inferenceRuns(), 0u);
+  EXPECT_EQ(O.counters().CacheHits, N);
   EXPECT_EQ(O.logicalCalls(), N);
+  O.seedPrefix(Work, unsigned(FirstFailing));
+  EXPECT_FALSE(O.typechecks(Work));
+  EXPECT_EQ(O.counters().FullInferences, 0u);
+  EXPECT_EQ(O.counters().IncrementalInferences, 1u);
+  EXPECT_EQ(O.counters().DeclInferencesSaved, FirstFailing);
 }
 
 TEST(CheckpointTest, ExtendWithCommitsOnSuccessAndRollsBackOnFailure) {
@@ -447,9 +451,7 @@ TEST(CheckpointTest, ExtendWithCommitsOnSuccessAndRollsBackOnFailure) {
   // verdicts exactly.
   ASSERT_TRUE(CP->extendWith(*P.Decls[0]));
   EXPECT_EQ(CP->prefixLength(), 1u);
-  size_t Allocated = 0;
-  ASSERT_TRUE(CP->extendWith(*P.Decls[1], &Allocated));
-  EXPECT_GT(Allocated, 0u);
+  ASSERT_TRUE(CP->extendWith(*P.Decls[1]));
   EXPECT_EQ(CP->prefixLength(), 2u);
   // A failed Let rolls back completely: the prefix is unchanged and the
   // checkpoint keeps answering queries correctly.
@@ -527,22 +529,17 @@ TEST(CheckpointedOracleTest, ConventionalPassServesTheLocalizationWalk) {
     CheckpointedOracle O;
     const std::optional<TypeError> Conv = O.conventionalError(P);
 
-    // The walk, probe for probe against the plain oracle and against an
-    // accelerated oracle that has to grow its own environment.
+    // The walk, probe for probe against the plain oracle.
     CamlOracle Ref;
-    CheckpointedOracle Cold;
-    Program Work, ColdWork;
+    Program Work;
     TraceSink Sink;
     O.setInstrumentation(&Sink, nullptr);
     O.beginPrefixWalk(Work, P);
-    Cold.beginPrefixWalk(ColdWork, P);
     std::optional<unsigned> Failing;
     for (unsigned I = 0; I < P.Decls.size() && !Failing; ++I) {
       Work.Decls.push_back(P.Decls[I]->clone());
-      ColdWork.Decls.push_back(P.Decls[I]->clone());
       const bool Ok = O.typechecks(Work);
       EXPECT_EQ(Ok, Ref.typechecks(Work)) << Text << "\nprefix " << I + 1;
-      EXPECT_EQ(Ok, Cold.typechecks(ColdWork));
       if (!Ok)
         Failing = I;
     }
@@ -551,7 +548,6 @@ TEST(CheckpointedOracleTest, ConventionalPassServesTheLocalizationWalk) {
               diagnostic(Truth.Error, Truth.ErrorDeclIndex))
         << Text;
     EXPECT_EQ(O.logicalCalls(), Ref.logicalCalls());
-    EXPECT_EQ(O.logicalCalls(), Cold.logicalCalls());
     EXPECT_EQ(O.inferenceRuns(), 0u) << Text;
     EXPECT_EQ(O.counters().CacheHits, O.logicalCalls());
     // Every probe, the last declaration's too, comes from the pass (the
@@ -586,8 +582,9 @@ TEST(CheckpointedOracleTest, ConventionalPassServesTheLocalizationWalk) {
   EXPECT_GT(Seeds, Progs.size() / 2);
 
   // A failed type declaration leaves partial constructor entries behind,
-  // so neither the pass nor a grown walk may hand its environment on:
-  // seeded at the failure, a let in its place must not see constructor A.
+  // so the pass may not hand its environment on: seeded at the failure,
+  // a let in its place must not see constructor A -- neither after the
+  // pass nor over a walk it did not check, which seeds afresh.
   const Program BadType = parse("let a = 1\ntype t = A | B of nosuch\n");
   for (bool Conventional : {true, false}) {
     CheckpointedOracle O;
@@ -643,6 +640,75 @@ TEST(CheckpointedOracleTest, ConventionalPassServesTheLocalizationWalk) {
                 diagnostic(Base.CheckerError, Base.FailingDeclIndex))
           << Text;
     }
+}
+
+TEST(CheckpointedOracleTest, SessionWalksAreAnsweredByTheConventionalCheck) {
+  // A daemon session's edit loop: a cold request, an edit past the
+  // failing declaration (the conventional memo replays), an edit of the
+  // failing declaration and an edit of a prefix declaration (the memo
+  // misses and the pass runs). Every report must be byte-identical to a
+  // one-shot plain-oracle run of the same source, and every localization
+  // probe must be answered by the conventional check, fresh or replayed,
+  // with no inference.
+  struct Step {
+    const char *Source;
+    bool MemoHit;    ///< The conventional memo replays.
+    bool SeedsWarm;  ///< The seed takes the previous request's verdicts.
+  };
+  const Step Steps[] = {
+      {"let inc x = x + 1\nlet twice f y = f (f y)\n"
+       "let out = twice inc true\nlet tail = 1\n",
+       false, false},
+      {"let inc x = x + 1\nlet twice f y = f (f y)\n"
+       "let out = twice inc true\nlet tail = 2\n",
+       true, true},
+      {"let inc x = x + 1\nlet twice f y = f (f y)\n"
+       "let out = twice inc false\nlet tail = 2\n",
+       false, true},
+      {"let inc x = x + 2\nlet twice f y = f (f y)\n"
+       "let out = twice inc false\nlet tail = 2\n",
+       false, false},
+  };
+  CheckpointedOracle O;
+  O.setSessionRetention(true);
+  for (const Step &S : Steps) {
+    const Program P = parse(S.Source);
+    const SeminalReport Base = plainReference(P);
+    TraceSink Sink;
+    SeminalOptions Opts;
+    Opts.Search.Trace = &Sink;
+    O.primeConventional(S.Source);
+    const SeminalReport R = runSeminalWithOracle(O, P, Opts);
+    EXPECT_EQ(fingerprint(R), fingerprint(Base)) << S.Source;
+    EXPECT_EQ(R.OracleCalls, Base.OracleCalls) << S.Source;
+    EXPECT_EQ(diagnostic(R.CheckerError, R.FailingDeclIndex),
+              diagnostic(Base.CheckerError, Base.FailingDeclIndex))
+        << S.Source;
+    ASSERT_TRUE(R.FailingDeclIndex) << S.Source;
+
+    EXPECT_EQ(R.Accel.SessionConvMemoHits, S.MemoHit ? 1u : 0u) << S.Source;
+    EXPECT_EQ(R.Accel.SessionSeedAdoptions, S.SeedsWarm ? 1u : 0u)
+        << S.Source;
+    const uint64_t Probes = *R.FailingDeclIndex + 1;
+    EXPECT_EQ(R.Accel.SessionPrefixHits, S.MemoHit ? Probes : 0u)
+        << S.Source;
+    uint64_t Walked = 0;
+    for (const TraceEvent &E : Sink.snapshot()) {
+      std::string Layer, ServedBy;
+      for (const TraceAttr &A : E.Attrs) {
+        if (A.Key == "layer")
+          Layer = A.Str;
+        else if (A.Key == "served_by")
+          ServedBy = A.Str;
+      }
+      if (Layer != "localize")
+        continue;
+      ++Walked;
+      EXPECT_EQ(ServedBy, S.MemoHit ? "session-prefix" : "conv-pass")
+          << S.Source;
+    }
+    EXPECT_EQ(Walked, Probes) << S.Source;
+  }
 }
 
 TEST(CheckpointedOracleTest, VerdictsMatchPlainOracleEverywhere) {

@@ -117,6 +117,22 @@ TEST(ServerProtocolTest, ParsesCheckRequest) {
   EXPECT_TRUE(R.WantReport);
 }
 
+TEST(ServerProtocolTest, ClientOracleBudgetIsClampedToTheDefault) {
+  // A client can lower the oracle-call budget but not lift it past the
+  // default, or one request could pin its shard indefinitely.
+  auto Budget = [](const char *Field) {
+    return parseRequest(std::string("{\"method\":\"check\",\"source\":"
+                                    "\"let x = 1\"") +
+                        Field + "}")
+        .MaxOracleCalls;
+  };
+  EXPECT_EQ(Budget(",\"max_oracle_calls\":1000000000000"), 200000u);
+  EXPECT_EQ(Budget(",\"max_oracle_calls\":200001"), 200000u);
+  EXPECT_EQ(Budget(",\"max_oracle_calls\":1000"), 1000u);
+  EXPECT_EQ(Budget(""), 0u) << "absent means the server default";
+  EXPECT_EQ(Budget(",\"max_oracle_calls\":-5"), 0u);
+}
+
 TEST(ServerProtocolTest, EchoesStringAndMissingIds) {
   EXPECT_EQ(parseRequest("{\"method\":\"ping\",\"id\":\"a-1\"}").Id,
             "\"a-1\"");
@@ -193,16 +209,16 @@ TEST(ServerSessionTest, WarmResubmitIsByteIdenticalAndCounted) {
   CheckOutcome Warm = S.check(EditedSource, CheckOptions());
   EXPECT_EQ(Warm.Conventional, Conventional);
   EXPECT_EQ(outcomeMessages(Warm), Expected);
-  EXPECT_GT(Warm.Accel.SessionPrefixHits, 0u);
   EXPECT_GT(Warm.Accel.SessionSeedAdoptions, 0u);
   EXPECT_GT(Warm.Accel.SessionVerdictReuses, 0u);
   EXPECT_LT(Warm.InferenceRuns, Cold.InferenceRuns)
       << "the warm resubmit must do strictly less inference";
 
   // An identical resubmit additionally replays the conventional error
-  // from the cross-request memo.
+  // from the cross-request memo, which answers the localization walk.
   CheckOutcome Replay = S.check(EditedSource, CheckOptions());
   EXPECT_GT(Replay.Accel.SessionConvMemoHits, 0u);
+  EXPECT_GT(Replay.Accel.SessionPrefixHits, 0u);
   EXPECT_EQ(Replay.Conventional, Conventional);
   EXPECT_EQ(outcomeMessages(Replay), Expected);
 }
@@ -228,9 +244,9 @@ TEST(ServerSessionTest, CountersAreScopedPerRequest) {
   EXPECT_EQ(S.OracleCalls, Sum("oracle_calls"));
   EXPECT_EQ(S.InferenceRuns, Sum("inference_runs"));
   ASSERT_TRUE(Second.member("warm"));
-  EXPECT_EQ(S.Warm.PrefixHits,
-            uint64_t(Second.member("warm")->getInt("prefix_hits", -1)))
-      << "only the warm resubmit can hit the retained prefix";
+  EXPECT_EQ(S.Warm.SeedAdoptions,
+            uint64_t(Second.member("warm")->getInt("seed_adoptions", -1)))
+      << "only the warm resubmit can adopt the retained seed";
 }
 
 TEST(ServerSessionTest, SyntaxErrorLeavesWarmStateIntact) {
@@ -305,14 +321,13 @@ TEST(ServerEngineTest, WarmCountersRiseInResponses) {
   json::Value Warm = parseReply(Engine.handle(CheckLine(EditedSource)));
   const json::Value *W = Warm.member("warm");
   ASSERT_TRUE(W);
-  EXPECT_GT(W->getInt("prefix_hits", 0), 0);
   EXPECT_GT(W->getInt("seed_adoptions", 0), 0);
   EXPECT_GT(W->getInt("verdict_reuses", 0), 0);
 
   // The engine's totals cover both requests' counters.
   ServerStats Stats = Engine.stats();
   EXPECT_EQ(Stats.Checks, 2u);
-  EXPECT_GT(Stats.Warm.PrefixHits, 0u);
+  EXPECT_GT(Stats.Warm.SeedAdoptions, 0u);
 }
 
 TEST(ServerEngineTest, MalformedLineGetsErrorReplyAndSessionSurvives) {
@@ -336,7 +351,7 @@ TEST(ServerEngineTest, MalformedLineGetsErrorReplyAndSessionSurvives) {
   Edited += "\"}";
   json::Value Warm = parseReply(Engine.handle(Edited));
   ASSERT_TRUE(Warm.member("warm"));
-  EXPECT_GT(Warm.member("warm")->getInt("prefix_hits", 0), 0)
+  EXPECT_GT(Warm.member("warm")->getInt("seed_adoptions", 0), 0)
       << "malformed lines in between must not disturb the session";
   EXPECT_EQ(Engine.stats().Malformed, 2u);
 }
@@ -429,14 +444,31 @@ TEST(ServerStdioTest, DeepNestingIsAnErrorAndServingContinues) {
 
 TEST(ServerStdioTest, HostileLinesAreAnsweredAndServingContinues) {
   // One line nested 200,000 levels deep in '[' (support/Json bounds
-  // nesting at 64), one check whose source is 5 MB, then a ping: each
-  // gets its reply and the daemon keeps serving.
+  // nesting at 64), one check whose source is 5 MB, one program 4,001
+  // top-level declarations wide failing in its last, wrong-typed fields
+  // (a numeric source and method, an array session, string and
+  // out-of-range numbers), then a ping: each gets its reply and the
+  // daemon keeps serving.
   ServerEngine Engine;
   std::string Huge = std::string(BaseSource) + "(* " +
                      std::string(5u << 20, 'x') + " *)\n";
+  std::string Wide;
+  for (int I = 0; I < 4000; ++I)
+    Wide += "let v" + std::to_string(I) + " x = x + " + std::to_string(I) +
+            "\n";
+  Wide += "let bad = v7 \"s\"\n";
+  std::string WrongTypes = checkLine(6, "typed", BaseSource);
+  WrongTypes.pop_back(); // Reopen the object for the extra fields.
+  WrongTypes += ",\"max_suggestions\":\"many\",\"max_oracle_calls\":1e300,"
+                "\"report\":\"yes\"}";
   std::string Input = std::string(200000, '[') + "\n" +
                       checkLine(2, "huge", Huge.c_str()) + "\n" +
-                      "{\"method\":\"ping\",\"id\":3}\n";
+                      checkLine(3, "wide", Wide.c_str()) + "\n" +
+                      "{\"method\":\"check\",\"id\":4,\"source\":42}\n" +
+                      "{\"method\":7,\"id\":5}\n" + WrongTypes + "\n" +
+                      "{\"method\":\"check\",\"id\":7,\"session\":[1],"
+                      "\"source\":\"let y = 1 + true\"}\n" +
+                      "{\"method\":\"ping\",\"id\":8}\n";
   std::istringstream In(Input);
   std::ostringstream Out;
   serveStdio(Engine, In, Out);
@@ -449,17 +481,25 @@ TEST(ServerStdioTest, HostileLinesAreAnsweredAndServingContinues) {
     int64_t Id = Reply.getInt("id", 1); // the deep line's id is null
     ById.emplace(Id, std::move(Reply));
   }
-  ASSERT_EQ(ById.size(), 3u) << "every line gets exactly one reply";
+  ASSERT_EQ(ById.size(), 8u) << "every line gets exactly one reply";
   EXPECT_FALSE(ById[1].getBool("ok", true));
   EXPECT_NE(ById[1].getString("error").find(
                 "malformed request: nesting too deep"),
             std::string::npos)
       << ById[1].getString("error");
-  EXPECT_TRUE(ById[2].getBool("ok", false));
-  const json::Value *Suggestions = ById[2].member("suggestions");
-  ASSERT_TRUE(Suggestions && Suggestions->isArray());
-  EXPECT_FALSE(Suggestions->arrayValue().empty());
-  EXPECT_TRUE(ById[3].getBool("pong", false));
+  for (int64_t Id : {2, 3, 6, 7}) {
+    EXPECT_TRUE(ById[Id].getBool("ok", false)) << Id;
+    const json::Value *Suggestions = ById[Id].member("suggestions");
+    ASSERT_TRUE(Suggestions && Suggestions->isArray()) << Id;
+    EXPECT_FALSE(Suggestions->arrayValue().empty()) << Id;
+  }
+  EXPECT_EQ(ById[3].getInt("failing_decl", -1), 4000);
+  // Wrong-typed optional fields fall back to their defaults.
+  EXPECT_FALSE(ById[6].member("report"));
+  EXPECT_FALSE(ById[6].getBool("budget_exhausted", true));
+  for (int64_t Id : {4, 5})
+    EXPECT_FALSE(ById[Id].getBool("ok", true)) << Id;
+  EXPECT_TRUE(ById[8].getBool("pong", false));
 }
 
 class SocketClient {
@@ -550,7 +590,7 @@ TEST(ServerSocketTest, MidStreamDisconnectLeavesSessionIntact) {
   json::Value Reply = parseReply(C2.recvLine());
   EXPECT_TRUE(Reply.getBool("ok", false));
   ASSERT_TRUE(Reply.member("warm"));
-  EXPECT_GT(Reply.member("warm")->getInt("prefix_hits", 0), 0)
+  EXPECT_GT(Reply.member("warm")->getInt("seed_adoptions", 0), 0)
       << "the disconnected client's warm state must survive";
   C2.close();
 
