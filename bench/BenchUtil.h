@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Small shared helpers for the figure-reproduction drivers: command-line
-/// scale/seed parsing and table formatting. (Microbenchmarks use
-/// google-benchmark; the figure drivers are plain executables that print
-/// the same rows/series the paper reports.)
+/// scale/seed parsing, table formatting and the allocation-counting
+/// interposer. The drivers are plain executables that print the same
+/// rows/series the paper reports.
 ///
 //===----------------------------------------------------------------------===//
 

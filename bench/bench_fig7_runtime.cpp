@@ -77,23 +77,19 @@ int main(int Argc, char **Argv) {
   CO.Scale = Opts.Scale;
   CO.Seed = Opts.Seed;
   Corpus C = generateCorpus(CO);
-  std::printf("timing %zu analyzed files under 4 configurations\n\n",
+  std::printf("timing %zu analyzed files under 3 configurations\n\n",
               C.Analyzed.size());
 
-  SeminalOptions Full; // Oracle acceleration on by default.
-  SeminalOptions NoAccel;
-  NoAccel.Search.Accel.Checkpoint = false;
-  NoAccel.Search.Accel.VerdictCache = false;
+  SeminalOptions Full;
   SeminalOptions NoReparen;
   NoReparen.Search.Enum.EnableMatchReparen = false;
   SeminalOptions NoTriage;
   NoTriage.Search.EnableTriage = false;
 
-  Samples FullS, NoAccelS, NoReparenS, NoTriageS;
+  Samples FullS, NoReparenS, NoTriageS;
   AccelCounters FullCounters;
   for (const CorpusFile &F : C.Analyzed) {
     FullS.add(timeOne(F.Source, Full, &FullCounters));
-    NoAccelS.add(timeOne(F.Source, NoAccel));
     NoReparenS.add(timeOne(F.Source, NoReparen));
     NoTriageS.add(timeOne(F.Source, NoTriage));
   }
@@ -102,7 +98,6 @@ int main(int Argc, char **Argv) {
               "p25", "p50", "p75", "p90", "p95", "max");
   rule();
   printCdf("full tool", FullS);
-  printCdf("oracle acceleration off", NoAccelS);
   printCdf("perf-bug change disabled", NoReparenS);
   printCdf("triage disabled", NoTriageS);
 
@@ -120,11 +115,6 @@ int main(int Argc, char **Argv) {
               "<= full %.2f\n",
               NoTriageS.mean() * 1000.0, NoReparenS.mean() * 1000.0,
               FullS.mean() * 1000.0);
-  std::printf("oracle acceleration: %.2fx mean speedup (%.2f -> %.2f ms; "
-              "identical suggestions by construction, see "
-              "bench_oracle_calls)\n",
-              FullS.mean() > 0.0 ? NoAccelS.mean() / FullS.mean() : 0.0,
-              NoAccelS.mean() * 1000.0, FullS.mean() * 1000.0);
   std::printf("\nfull-tool acceleration counters:\n%s",
               FullCounters.render().c_str());
 
@@ -151,14 +141,10 @@ int main(int Argc, char **Argv) {
        << ",\n  \"files\": " << C.Analyzed.size() << ",\n  \"configs\": {\n";
     jsonCdf(OS, "full", FullS);
     OS << ",\n";
-    jsonCdf(OS, "no_accel", NoAccelS);
-    OS << ",\n";
     jsonCdf(OS, "no_reparen", NoReparenS);
     OS << ",\n";
     jsonCdf(OS, "no_triage", NoTriageS);
-    OS << "\n  },\n  \"accel_mean_speedup\": "
-       << (FullS.mean() > 0.0 ? NoAccelS.mean() / FullS.mean() : 0.0)
-       << ",\n  \"counters\": {\"cache_hits\": " << FullCounters.CacheHits
+    OS << "\n  },\n  \"counters\": {\"cache_hits\": " << FullCounters.CacheHits
        << ", \"full_inferences\": " << FullCounters.FullInferences
        << ", \"incremental_inferences\": "
        << FullCounters.IncrementalInferences << "},\n  \"metrics\": ";

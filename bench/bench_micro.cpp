@@ -1,162 +1,28 @@
-//===- bench_micro.cpp - google-benchmark microbenchmarks ------------------==//
+//===- bench_micro.cpp - Allocation report for the candidate pipeline ----==//
 //
-// Micro-level performance characterization backing Section 3.2's
-// efficiency discussion: how fast one oracle call is (parse once,
-// type-check many), how search cost scales with program size, and the
-// relative cost of the search components. These are the quantities that
-// make "the computational cost of searching should be measured against
-// the speed of the human" concrete on this implementation.
+// Counts the heap allocations of the searcher's candidate pipeline with
+// the operator-new interposer (BenchUtil.h), so a change that brings back
+// per-candidate clone traffic shows up as a count, not as noise in a
+// timing. Timing lives in perfbench/ (per-layer times, size curves and
+// trace_overhead_pct); this binary times nothing.
+//
+// Usage: bench_micro [--json=<path>] [--scale=<f>] [--seed=<n>]
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "core/CheckpointedOracle.h"
-#include "core/Oracle.h"
 #include "core/Seminal.h"
-#include "corpus/Generator.h"
-#include "corpus/Programs.h"
 #include "minicaml/Parser.h"
-
-#include <benchmark/benchmark.h>
-
-#include <sstream>
 
 using namespace seminal;
 using namespace seminal::bench;
 using namespace seminal::caml;
 
-// Heap-allocation accounting for the --json report below. Timing-mode
-// numbers from this binary therefore include the interposer's small
-// constant overhead; it is uniform across benchmarks, and the absolute
-// timings here are characterization, not a CI gate.
 SEMINAL_BENCH_COUNT_ALLOCATIONS()
 
 namespace {
 
-/// A well-typed program with N chained declarations.
-std::string chainProgram(int N) {
-  std::ostringstream OS;
-  OS << "let v0 = 1\n";
-  for (int I = 1; I < N; ++I)
-    OS << "let v" << I << " = v" << (I - 1) << " + " << I << "\n";
-  return OS.str();
-}
-
-void BM_Lex(benchmark::State &State) {
-  std::string Source = assignmentTemplates()[1].Source;
-  for (auto _ : State) {
-    ParseResult R = parseProgram(Source);
-    benchmark::DoNotOptimize(R);
-  }
-}
-BENCHMARK(BM_Lex);
-
-void BM_TypecheckAssignment(benchmark::State &State) {
-  std::string Source =
-      assignmentTemplates()[size_t(State.range(0))].Source;
-  ParseResult R = parseProgram(Source);
-  for (auto _ : State) {
-    TypecheckResult T = typecheckProgram(*R.Prog);
-    benchmark::DoNotOptimize(T);
-  }
-}
-BENCHMARK(BM_TypecheckAssignment)->DenseRange(0, 4);
-
-void BM_TypecheckScaling(benchmark::State &State) {
-  std::string Source = chainProgram(int(State.range(0)));
-  ParseResult R = parseProgram(Source);
-  for (auto _ : State) {
-    TypecheckResult T = typecheckProgram(*R.Prog);
-    benchmark::DoNotOptimize(T);
-  }
-  State.SetComplexityN(State.range(0));
-}
-BENCHMARK(BM_TypecheckScaling)->RangeMultiplier(2)->Range(8, 128)->Complexity();
-
-void BM_SearchFigure2(benchmark::State &State) {
-  std::string Source =
-      "let map2 f aList bList =\n"
-      "  List.map (fun (a, b) -> f a b) (List.combine aList bList)\n"
-      "let lst = map2 (fun (x, y) -> x + y) [1;2;3] [4;5;6]\n"
-      "let ans = List.filter (fun x -> x == 0) lst\n";
-  for (auto _ : State) {
-    SeminalReport R = runSeminalOnSource(Source);
-    benchmark::DoNotOptimize(R);
-  }
-}
-BENCHMARK(BM_SearchFigure2);
-
-// The same search with the trace subsystem enabled: the delta against
-// BM_SearchFigure2 is the cost of recording every span and attribute.
-// With sinks left null the overhead must stay under 2% (the disabled
-// path is one pointer test per instrumentation site); this benchmark
-// measures the *enabled* price so regressions in either mode show up.
-void BM_SearchFigure2Traced(benchmark::State &State) {
-  std::string Source =
-      "let map2 f aList bList =\n"
-      "  List.map (fun (a, b) -> f a b) (List.combine aList bList)\n"
-      "let lst = map2 (fun (x, y) -> x + y) [1;2;3] [4;5;6]\n"
-      "let ans = List.filter (fun x -> x == 0) lst\n";
-  for (auto _ : State) {
-    TraceSink Sink;
-    Metrics M;
-    SeminalOptions Opts;
-    Opts.Search.Trace = &Sink;
-    Opts.Search.Metric = &M;
-    SeminalReport R = runSeminalOnSource(Source, Opts);
-    benchmark::DoNotOptimize(R);
-    benchmark::DoNotOptimize(Sink.eventCount());
-  }
-}
-BENCHMARK(BM_SearchFigure2Traced);
-
-// The disabled path in isolation: spans against a null sink must cost a
-// branch and nothing else -- no clock reads, no allocation.
-void BM_NullSpanOverhead(benchmark::State &State) {
-  for (auto _ : State) {
-    TraceSpan Span(nullptr, SpanKind::OracleCall, "oracle.typecheck");
-    benchmark::DoNotOptimize(Span.enabled());
-  }
-}
-BENCHMARK(BM_NullSpanOverhead);
-
-void BM_SearchWithVsWithoutTriage(benchmark::State &State) {
-  std::string Source = "let go y =\n"
-                       "  let a = 3 + true in\n"
-                       "  let b = 4 + \"hi\" in\n"
-                       "  y + 1";
-  SeminalOptions Opts;
-  Opts.Search.EnableTriage = State.range(0) != 0;
-  for (auto _ : State) {
-    SeminalReport R = runSeminalOnSource(Source, Opts);
-    benchmark::DoNotOptimize(R);
-  }
-}
-BENCHMARK(BM_SearchWithVsWithoutTriage)->Arg(0)->Arg(1);
-
-void BM_CloneAssignment(benchmark::State &State) {
-  ParseResult R = parseProgram(assignmentTemplates()[3].Source);
-  for (auto _ : State) {
-    Program P = R.Prog->clone();
-    benchmark::DoNotOptimize(P);
-  }
-}
-BENCHMARK(BM_CloneAssignment);
-
-void BM_MutateProgram(benchmark::State &State) {
-  ParseResult R = parseProgram(assignmentTemplates()[0].Source);
-  Rng Rand(1);
-  for (auto _ : State) {
-    auto M = mutateProgram(*R.Prog, 2, Rand);
-    benchmark::DoNotOptimize(M);
-  }
-}
-BENCHMARK(BM_MutateProgram);
-
-//===----------------------------------------------------------------------===//
-// Allocation report (--json mode)
-//===----------------------------------------------------------------------===//
-//
 // Measures the allocator load of the candidate pipeline. The headline
 // scenario drives repeated candidate waves at a seeded oracle through the
 // serial path the searcher uses (Searcher::testWith: install the
@@ -198,16 +64,21 @@ AllocReport runCandidateWaves(unsigned Waves) {
   CheckpointedOracle O;
   O.seedPrefix(Work, 1);
 
+  size_t Accepted = 0;
   AllocScope Scope;
   for (unsigned W = 0; W < Waves; ++W)
     for (ExprPtr &Cand : Cands)
       for (int Repeat = 0; Repeat < 2; ++Repeat) {
         ExprPtr Old = replaceAtPath(Work, Path, std::move(Cand));
-        bool Verdict = O.typechecks(Work);
-        benchmark::DoNotOptimize(Verdict);
+        Accepted += O.typechecks(Work);
         Cand = replaceAtPath(Work, Path, std::move(Old));
       }
-  return Scope.finish();
+  AllocReport R = Scope.finish();
+  // Every candidate `helper x I` type-checks.
+  if (Accepted != size_t(Waves) * Cands.size() * 2)
+    std::fprintf(stderr, "candidate-waves: only %zu candidates accepted\n",
+                 Accepted);
+  return R;
 }
 
 /// End-to-end search allocation footprint (informational: the total is
@@ -220,8 +91,10 @@ AllocReport runSearchScenario() {
       "let ans = List.filter (fun x -> x == 0) lst\n";
   AllocScope Scope;
   SeminalReport R = runSeminalOnSource(Source);
-  benchmark::DoNotOptimize(R);
-  return Scope.finish();
+  AllocReport A = Scope.finish();
+  if (R.Suggestions.empty())
+    std::fprintf(stderr, "search-figure2: no suggestions\n");
+  return A;
 }
 
 int runAllocReport(const DriverOptions &Driver) {
@@ -272,18 +145,5 @@ int runAllocReport(const DriverOptions &Driver) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  // Driver-style arguments select the allocation report; anything else
-  // goes to google-benchmark (timing mode).
-  for (int I = 1; I < Argc; ++I)
-    if (std::strncmp(Argv[I], "--json", 6) == 0 ||
-        std::strncmp(Argv[I], "--scale", 7) == 0 ||
-        std::strncmp(Argv[I], "--seed", 6) == 0)
-      return runAllocReport(parseDriverArgs(Argc, Argv));
-
-  benchmark::Initialize(&Argc, Argv);
-  if (benchmark::ReportUnrecognizedArguments(Argc, Argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return runAllocReport(parseDriverArgs(Argc, Argv));
 }

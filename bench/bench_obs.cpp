@@ -112,8 +112,8 @@ ConfigRow measureConfig(const std::string &Name, size_t Decls,
   ServerOptions SO;
   SO.Threads = 1; // One shard: measure the request path, not scheduling.
   SO.Log = Log;
-  SO.SlowTraces = Ring;
-  SO.TraceSlowMs = TraceSlowMs;
+  SO.Session.SlowTraces = Ring;
+  SO.Session.TraceSlowMs = TraceSlowMs;
   ServerEngine Engine(SO);
 
   auto CheckLine = [&](int Tail) {

@@ -6,22 +6,22 @@
 // Compares gated vs exhaustive enumeration, and triage on vs off, on
 // programs engineered to stress each mechanism.
 //
-// Also the home of the oracle-acceleration ablation: both layers of the
-// acceleration stack (prefix checkpoint, verdict cache) toggled
-// independently over the Figure-7 corpus, verifying that each
-// configuration reproduces the unaccelerated searches exactly (same
-// ranked suggestions, same logical-call counts) while measuring the
-// wall-clock and inference-run savings. --json=<path> emits the summary
-// for CI trajectory tracking.
+// Also the home of the oracle-acceleration count: the shipped oracle
+// (prefix checkpoint + verdict cache) against the plain CamlOracle
+// reference (tests/ReferenceRun.h) over the Figure-7 corpus, verifying
+// that it reproduces the unaccelerated searches exactly (same ranked
+// suggestions, same logical-call counts) and counting the inference runs
+// it saves. Every number is deterministic; nothing is timed. --json=<path>
+// emits the counts for the CI regression gate.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "ReferenceRun.h"
 #include "core/Seminal.h"
 #include "corpus/Generator.h"
 #include "minicaml/Printer.h"
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -59,7 +59,7 @@ void compareTriage(const char *Label, const std::string &Source) {
 }
 
 //===----------------------------------------------------------------------===//
-// Oracle-acceleration ablation over the Figure-7 corpus
+// Oracle acceleration against the plain reference, Figure-7 corpus
 //===----------------------------------------------------------------------===//
 
 /// Order-sensitive digest of a report's ranked suggestions, used to
@@ -80,62 +80,37 @@ std::string fingerprint(const SeminalReport &R) {
 
 struct AccelRow {
   const char *Name;
-  OracleAccelOptions Accel;
+  SeminalReport (*Run)(const std::string &, const SeminalOptions &);
   // Measured:
-  double WallSec = 0.0;
   size_t LogicalCalls = 0;
   size_t InferenceRuns = 0;
-  AccelCounters Counters;
+  AccelCounters Counters{};
   size_t SuggestionMismatches = 0;
   size_t CallCountMismatches = 0;
 };
 
-void runAccelAblation(const DriverOptions &Driver) {
-  header("Ablation: oracle acceleration layers (Figure-7 corpus)");
+void runAccelCheck(const DriverOptions &Driver) {
+  header("Oracle acceleration vs the plain reference (Figure-7 corpus)");
   CorpusOptions CO;
   CO.Scale = Driver.Scale;
   CO.Seed = Driver.Seed;
   Corpus C = generateCorpus(CO);
 
-  OracleAccelOptions Off;
-  Off.Checkpoint = Off.VerdictCache = false;
-  OracleAccelOptions CheckpointOnly = Off;
-  CheckpointOnly.Checkpoint = true;
-  OracleAccelOptions CacheOnly = Off;
-  CacheOnly.VerdictCache = true;
-  OracleAccelOptions Both;
-  Both.Checkpoint = Both.VerdictCache = true;
-
+  // The reference row runs CamlOracle, which keeps no AccelCounters, so
+  // its counter columns read 0.
   std::vector<AccelRow> Rows = {
-      {"acceleration off", Off},
-      {"checkpoint only", CheckpointOnly},
-      {"cache only", CacheOnly},
-      {"checkpoint + cache", Both},
+      {"plain reference", plainReferenceOnSource},
+      {"checkpoint + cache", runSeminalOnSource},
   };
 
-  // Baseline fingerprints come from the acceleration-off configuration.
+  // Baseline fingerprints come from the plain reference.
   std::vector<std::string> BaseFps;
   std::vector<size_t> BaseCalls;
 
   for (size_t RowIdx = 0; RowIdx < Rows.size(); ++RowIdx) {
     AccelRow &Row = Rows[RowIdx];
-    SeminalOptions Opts;
-    Opts.Search.Accel = Row.Accel;
     for (size_t I = 0; I < C.Analyzed.size(); ++I) {
-      const CorpusFile &F = C.Analyzed[I];
-      // Min-of-2 wall clock: millisecond-scale runs are scheduler noise.
-      double Best = 1e30;
-      SeminalReport R;
-      for (int Rep = 0; Rep < 2; ++Rep) {
-        auto Start = std::chrono::steady_clock::now();
-        R = runSeminalOnSource(F.Source, Opts);
-        double Sec = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - Start)
-                         .count();
-        if (Sec < Best)
-          Best = Sec;
-      }
-      Row.WallSec += Best;
+      SeminalReport R = Row.Run(C.Analyzed[I].Source, SeminalOptions());
       Row.LogicalCalls += R.OracleCalls;
       Row.InferenceRuns += R.InferenceRuns;
       Row.Counters += R.Accel;
@@ -154,9 +129,8 @@ void runAccelAblation(const DriverOptions &Driver) {
   std::printf("%zu analyzed files, %zu logical oracle calls per "
               "configuration\n\n",
               C.Analyzed.size(), Rows[0].LogicalCalls);
-  std::printf("%-24s %9s %9s %10s %10s %7s %10s\n", "configuration",
-              "wall ms", "ms/file", "calls", "inf runs", "hit%",
-              "identical");
+  std::printf("%-24s %10s %10s %7s %10s\n", "configuration", "calls",
+              "inf runs", "hit%", "identical");
   rule();
   const AccelRow &Base = Rows[0];
   for (const AccelRow &Row : Rows) {
@@ -166,21 +140,12 @@ void runAccelAblation(const DriverOptions &Driver) {
                 : 0.0;
     bool Identical =
         Row.SuggestionMismatches == 0 && Row.CallCountMismatches == 0;
-    std::printf("%-24s %9.1f %9.3f %10zu %10zu %6.1f%% %10s\n", Row.Name,
-                Row.WallSec * 1000.0,
-                Row.WallSec * 1000.0 / double(C.Analyzed.size()),
+    std::printf("%-24s %10zu %10zu %6.1f%% %10s\n", Row.Name,
                 Row.LogicalCalls, Row.InferenceRuns, HitPct,
                 &Row == &Base ? "(base)" : Identical ? "yes" : "NO");
   }
   rule();
-  // "Acceleration on" is the shipped default (checkpoint + cache), so the
-  // headline compares that row.
-  const AccelRow &Full = Rows[3];
-  double Speedup = Full.WallSec > 0.0 ? Base.WallSec / Full.WallSec : 0.0;
-  std::printf("acceleration speedup: %.2fx wall-clock per search "
-              "(%.3f -> %.3f ms/file)\n",
-              Speedup, Base.WallSec * 1000.0 / double(C.Analyzed.size()),
-              Full.WallSec * 1000.0 / double(C.Analyzed.size()));
+  const AccelRow &Full = Rows[1];
   std::printf("checkpoint+cache: %zu of %zu logical calls actually ran "
               "inference (%.1f%%); %llu prefix decl re-checks saved\n",
               Full.InferenceRuns, Full.LogicalCalls,
@@ -200,19 +165,18 @@ void runAccelAblation(const DriverOptions &Driver) {
     std::fprintf(F, "  \"files\": %zu,\n  \"scale\": %g,\n  \"seed\": %llu,\n",
                  C.Analyzed.size(), Driver.Scale,
                  (unsigned long long)Driver.Seed);
-    std::fprintf(F, "  \"speedup_wall\": %.4f,\n", Speedup);
     std::fprintf(F, "  \"configs\": [\n");
     for (size_t I = 0; I < Rows.size(); ++I) {
       const AccelRow &Row = Rows[I];
       std::fprintf(
           F,
-          "    {\"name\": \"%s\", \"wall_ms\": %.3f, \"logical_calls\": "
+          "    {\"name\": \"%s\", \"logical_calls\": "
           "%zu, \"inference_runs\": %zu, \"cache_hits\": %llu, "
           "\"cache_misses\": %llu, \"incremental\": %llu, \"full\": %llu, "
           "\"decl_rechecks_saved\": %llu, "
           "\"suggestion_mismatches\": %zu, \"call_count_mismatches\": "
           "%zu}%s\n",
-          Row.Name, Row.WallSec * 1000.0, Row.LogicalCalls,
+          Row.Name, Row.LogicalCalls,
           Row.InferenceRuns, (unsigned long long)Row.Counters.CacheHits,
           (unsigned long long)Row.Counters.CacheMisses,
           (unsigned long long)Row.Counters.IncrementalInferences,
@@ -271,6 +235,6 @@ int main(int Argc, char **Argv) {
                 "  y + 1");
 
   std::printf("\n");
-  runAccelAblation(Driver);
+  runAccelCheck(Driver);
   return 0;
 }

@@ -229,8 +229,8 @@ int main(int Argc, char **Argv) {
   std::unique_ptr<obs::SlowTraceRing> SlowTraces;
   if (TraceSlowMs >= 0) {
     SlowTraces = std::make_unique<obs::SlowTraceRing>(TraceDir, TraceRing);
-    Opts.SlowTraces = SlowTraces.get();
-    Opts.TraceSlowMs = TraceSlowMs;
+    Opts.Session.SlowTraces = SlowTraces.get();
+    Opts.Session.TraceSlowMs = TraceSlowMs;
   }
 
   if (ProfileHz > 0) {

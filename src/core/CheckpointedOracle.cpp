@@ -5,9 +5,8 @@
 using namespace seminal;
 using namespace seminal::caml;
 
-CheckpointedOracle::CheckpointedOracle(const OracleAccelOptions &Accel,
-                                       std::shared_ptr<AstArena> Arena)
-    : Accel(Accel), TheArena(std::move(Arena)) {
+CheckpointedOracle::CheckpointedOracle(std::shared_ptr<AstArena> Arena)
+    : TheArena(std::move(Arena)) {
   if (!TheArena)
     TheArena = std::make_shared<AstArena>();
 }
@@ -22,11 +21,7 @@ void CheckpointedOracle::syncArenaStats() {
 CheckpointedOracle::~CheckpointedOracle() = default;
 
 void CheckpointedOracle::setSessionRetention(bool Enabled) {
-  // Retention needs the checkpoint layer (the stash *is* a checkpoint)
-  // and the verdict cache (what the stash carries). Without them the
-  // toggle is inert rather than an error so a server built with ablated
-  // acceleration still runs, just cold.
-  SessionRetention = Enabled && Accel.Checkpoint && Accel.VerdictCache;
+  SessionRetention = Enabled;
   if (!SessionRetention)
     resetSession();
 }
@@ -44,7 +39,6 @@ void CheckpointedOracle::resetSession() {
   SeedPrefixIds.clear();
   endWalk();
   ConvClone = Program();
-  HasConvMemo = false;
   ConvOk = false;
   ConvPassing.reset();
   ConvGrowth.reset();
@@ -111,11 +105,9 @@ CheckpointedOracle::conventionalError(const Program &Prog) {
   if (SessionRetention && SessionConv.Valid && HaveCurrentSource &&
       convMemoApplies(Prog)) {
     ++Counters.SessionConvMemoHits;
-    // The searcher's opening whole-program probe still gets its memo
-    // (session retention implies the verdict-cache layer).
+    // The searcher's opening whole-program probe still gets its memo.
     ConvClone = Prog.clone();
     ConvOk = false;
-    HasConvMemo = true;
     ConvPassing = SessionConv.ErrIdx;
     ConvReplayed = true;
     HaveCurrentSource = false;
@@ -123,20 +115,15 @@ CheckpointedOracle::conventionalError(const Program &Prog) {
   }
 
   // Rendered once per run to show the baseline message; not search work,
-  // so it stays out of the counters. With the checkpoint layer on, the
-  // same pass also decides every localization probe in advance.
-  const bool Pass = Accel.Checkpoint;
-  TypecheckResult R = Pass ? conventionalPass(Prog) : typecheckProgram(Prog);
-  if (Pass)
-    ConvPassing = R.ErrorDeclIndex.value_or(unsigned(Prog.Decls.size()));
-  HasConvMemo = Accel.VerdictCache;
-  if (HasConvMemo || Pass) {
-    // The searcher's first oracle call asks the boolean version of this
-    // exact question, and its walk replays this program: keep a copy to
-    // confirm both by structure.
-    ConvClone = Prog.clone();
-    ConvOk = R.ok();
-  }
+  // so it stays out of the counters. The same pass also decides every
+  // localization probe in advance.
+  TypecheckResult R = conventionalPass(Prog);
+  ConvPassing = R.ErrorDeclIndex.value_or(unsigned(Prog.Decls.size()));
+  // The searcher's first oracle call asks the boolean version of this
+  // exact question, and its walk replays this program: keep a copy to
+  // confirm both by structure.
+  ConvClone = Prog.clone();
+  ConvOk = R.ok();
   // (Re)build the cross-request memo for the next edit-resubmit. Only a
   // parsed program qualifies: the byte-prefix validity check needs real
   // spans, and a synthesized next-declaration offset of 0 is rejected.
@@ -215,11 +202,9 @@ void CheckpointedOracle::seedPrefix(const Program &Prog, unsigned EditedDecl) {
     return;
   }
 
-  if (Accel.Checkpoint) {
-    Checkpoint = InferenceCheckpoint::create(Prog, EditedDecl);
-    if (Checkpoint)
-      ++Counters.CheckpointSeeds;
-  }
+  Checkpoint = InferenceCheckpoint::create(Prog, EditedDecl);
+  if (Checkpoint)
+    ++Counters.CheckpointSeeds;
 }
 
 void CheckpointedOracle::adoptRetainedCaches() {
@@ -317,25 +302,27 @@ bool CheckpointedOracle::matchesSeed(const Program &Prog) const {
   return Prog.Decls[EditedIndex]->kind() == Decl::Kind::Let;
 }
 
-bool CheckpointedOracle::inferEditedDecl(const Decl &D,
-                                         const Program &Fallback) {
-  if (Checkpoint) {
+TypecheckResult CheckpointedOracle::infer(const Program &Prog, bool SeedMatch,
+                                          const TypecheckOptions &Opts) {
+  TypecheckResult R;
+  if (SeedMatch && Checkpoint) {
     ++Counters.IncrementalInferences;
     Counters.DeclInferencesSaved += Checkpoint->prefixLength();
     LastServedBy = "checkpoint-incremental";
     if (MetricsOut)
       MetricsOut->observe(metric::CheckpointReuseDepth,
                           double(Checkpoint->prefixLength()));
-    TypecheckResult R = Checkpoint->checkDecl(D);
-    Counters.TypesAllocated += R.TypesAllocated;
-    return R.ok();
+    R = Checkpoint->checkDecl(*Prog.Decls[EditedIndex], Opts);
+  } else {
+    // While seeded this is a fallback: another program, or a prefix
+    // that failed to snapshot.
+    if (Seeded)
+      ++Counters.CheckpointFallbacks;
+    ++Counters.FullInferences;
+    R = typecheckProgram(Prog, Opts);
   }
-  if (Accel.Checkpoint)
-    ++Counters.CheckpointFallbacks; // Prefix failed to snapshot.
-  ++Counters.FullInferences;
-  TypecheckResult R = typecheckProgram(Fallback);
   Counters.TypesAllocated += R.TypesAllocated;
-  return R.ok();
+  return R;
 }
 
 bool CheckpointedOracle::typecheckImpl(const Program &Prog) {
@@ -349,29 +336,20 @@ bool CheckpointedOracle::typecheckImpl(const Program &Prog) {
     // Asked about the same program conventionalError() just inferred?
     // (The searcher's opening "does the input type-check at all" probe,
     // and the final localization round when the last declaration fails.)
-    if (HasConvMemo && Prog.Decls.size() == ConvClone.Decls.size() &&
+    if (ConvPassing && Prog.Decls.size() == ConvClone.Decls.size() &&
         Prog.equals(ConvClone)) {
       ++Counters.CacheHits;
       LastServedBy = "conv-memo";
       LastCacheHit = true;
       return ConvOk;
     }
-    if (Seeded)
-      ++Counters.CheckpointFallbacks;
-    ++Counters.FullInferences;
-    TypecheckResult R = typecheckProgram(Prog);
-    Counters.TypesAllocated += R.TypesAllocated;
-    return R.ok();
+    return infer(Prog, false).ok();
   }
-
-  const Decl &D = *Prog.Decls[EditedIndex];
-  if (!Accel.VerdictCache)
-    return inferEditedDecl(D, Prog);
 
   // Interning reuses existing nodes (near-zero allocation on repeats)
   // and the resulting id *is* the structural identity, so the probe is
   // one integer lookup.
-  AstArena::DeclId Id = TheArena->internDecl(D);
+  AstArena::DeclId Id = TheArena->internDecl(*Prog.Decls[EditedIndex]);
   syncArenaStats();
   auto Known = VerdictById.find(Id);
   if (Known != VerdictById.end()) {
@@ -383,7 +361,7 @@ bool CheckpointedOracle::typecheckImpl(const Program &Prog) {
     return (Known->second & VerdictBit) != 0;
   }
   ++Counters.CacheMisses;
-  bool Verdict = inferEditedDecl(D, Prog);
+  bool Verdict = infer(Prog, true).ok();
   VerdictById.emplace(Id, Verdict ? VerdictBit : uint8_t(0));
   syncArenaStats();
   return Verdict;
@@ -393,28 +371,9 @@ std::optional<std::string>
 CheckpointedOracle::typeOfNodeImpl(const Program &Prog, const Expr *Node) {
   // Type queries bypass the verdict cache (it stores booleans, not types)
   // but still ride the checkpoint.
-  if (Checkpoint && matchesSeed(Prog)) {
-    ++Counters.IncrementalInferences;
-    Counters.DeclInferencesSaved += Checkpoint->prefixLength();
-    LastServedBy = "checkpoint-incremental";
-    if (MetricsOut)
-      MetricsOut->observe(metric::CheckpointReuseDepth,
-                          double(Checkpoint->prefixLength()));
-    TypecheckOptions Opts;
-    Opts.QueryNode = Node;
-    TypecheckResult R = Checkpoint->checkDecl(*Prog.Decls[EditedIndex], Opts);
-    Counters.TypesAllocated += R.TypesAllocated;
-    if (!R.ok())
-      return std::nullopt;
-    return R.QueriedType;
-  }
-  if (Seeded)
-    ++Counters.CheckpointFallbacks;
-  ++Counters.FullInferences;
   TypecheckOptions Opts;
   Opts.QueryNode = Node;
-  TypecheckResult R = typecheckProgram(Prog, Opts);
-  Counters.TypesAllocated += R.TypesAllocated;
+  TypecheckResult R = infer(Prog, matchesSeed(Prog), Opts);
   if (!R.ok())
     return std::nullopt;
   return R.QueriedType;

@@ -31,11 +31,11 @@
 /// Further fast paths cover the calls issued *before* seedPrefix(). The
 /// conventional checker stops at the first error, so its answer decides
 /// every probe of the searcher's prefix-localization loop ("do the first
-/// k declarations type-check?", k growing by one per call). With the
-/// checkpoint layer on, conventionalError() runs as one incremental pass:
-/// it commits declarations one at a time to a checkpoint and keeps the
-/// first error, which yields the diagnostic, its declaration index K and
-/// the environment of the passing prefix at once. The loop announces
+/// k declarations type-check?", k growing by one per call).
+/// conventionalError() therefore runs as one incremental pass: it commits
+/// declarations one at a time to a checkpoint and keeps the first error,
+/// which yields the diagnostic, its declaration index K and the
+/// environment of the passing prefix at once. The loop announces
 /// itself with beginPrefixWalk(Work, Input): the probes are one Program
 /// object that the caller only appends copies of Input's declarations
 /// to. When Input is the program conventionalError() checked, probes
@@ -51,9 +51,10 @@
 /// (confirmed by deep equality) instead of running inference twice on
 /// the same program.
 ///
-/// Both layers toggle independently via OracleAccelOptions so the
-/// ablation benches can attribute savings; the arena itself is always
-/// on.
+/// Both layers are always on: this oracle has one configuration, and the
+/// unaccelerated reference it must agree with is CamlOracle
+/// (core/Oracle.h), which the equivalence tests and bench_oracle_calls
+/// compare against.
 ///
 /// Server mode (setSessionRetention) keeps the oracle alive across
 /// requests: instead of discarding the seed checkpoint, the id-keyed
@@ -94,8 +95,7 @@ public:
   /// a private arena. The arena outlives every seedPrefix/clearPrefix
   /// cycle -- interned nodes are immortal, which is what lets the daemon
   /// share them across requests.
-  explicit CheckpointedOracle(const OracleAccelOptions &Accel = {},
-                              std::shared_ptr<caml::AstArena> Arena = nullptr);
+  explicit CheckpointedOracle(std::shared_ptr<caml::AstArena> Arena = nullptr);
   ~CheckpointedOracle() override;
 
   /// The hash-consing arena (never null).
@@ -119,9 +119,8 @@ public:
   /// Keep warm state across seedPrefix/clearPrefix cycles: the seed
   /// checkpoint, the id-keyed verdict cache and the conventional-error
   /// memo survive into the next request and are re-adopted when its
-  /// prefix interns to the same declaration ids. Requires the checkpoint
-  /// and verdict-cache layers; toggle between requests, never
-  /// mid-request. Turning it off drops all retained state.
+  /// prefix interns to the same declaration ids. Toggle between requests,
+  /// never mid-request. Turning it off drops all retained state.
   void setSessionRetention(bool Enabled);
   bool sessionRetention() const { return SessionRetention; }
 
@@ -150,10 +149,11 @@ private:
   /// True when \p Prog is "seed prefix + one edited let declaration".
   bool matchesSeed(const caml::Program &Prog) const;
 
-  /// Runs inference for "prefix + \p D", via the checkpoint when
-  /// available, else over \p Fallback (the full program). Bumps the
-  /// inference counters.
-  bool inferEditedDecl(const caml::Decl &D, const caml::Program &Fallback);
+  /// Runs inference for \p Prog: only its edited declaration, against the
+  /// checkpoint, when \p SeedMatch (matchesSeed) and a checkpoint exists;
+  /// else the whole program. Bumps the inference counters.
+  caml::TypecheckResult infer(const caml::Program &Prog, bool SeedMatch,
+                              const caml::TypecheckOptions &Opts = {});
 
   /// Expires the walk hint.
   void endWalk();
@@ -179,7 +179,6 @@ private:
   /// the program the current source text parsed to.
   bool convMemoApplies(const caml::Program &Prog) const;
 
-  OracleAccelOptions Accel;
   AccelCounters Counters;
 
   // Pre-seed state ----------------------------------------------------------
@@ -187,17 +186,15 @@ private:
   /// lifetime is the caller's; it is compared, never dereferenced outside
   /// a call that passes the same object.
   const caml::Program *WalkProg = nullptr;
-  /// Copy of the last conventionalError() program. With the verdict-cache
-  /// layer (HasConvMemo) it and ConvOk serve the searcher's initial
-  /// whole-program check without a second inference run; with the
-  /// conventional pass it confirms that a walk replays that program.
+  /// Copy of the last conventionalError() program. It and ConvOk serve
+  /// the searcher's initial whole-program check without a second
+  /// inference run, and it confirms that a walk replays that program.
   caml::Program ConvClone;
-  bool HasConvMemo = false;
   bool ConvOk = false;
-  /// Set when the last conventionalError() ran as conventionalPass()
-  /// (checkpoint layer on) or replayed the session memo: ConvClone's
-  /// first *ConvPassing declarations type-check, and the next one, if
-  /// any, fails.
+  /// Set once conventionalError() has run (as conventionalPass() or as a
+  /// replay of the session memo), and with it ConvClone and ConvOk:
+  /// ConvClone's first *ConvPassing declarations type-check, and the next
+  /// one, if any, fails.
   std::optional<unsigned> ConvPassing;
   /// ConvPassing came from the session memo, so the walk's answers count
   /// as SessionPrefixHits rather than cache hits.

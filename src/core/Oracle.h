@@ -38,20 +38,6 @@
 
 namespace seminal {
 
-/// Toggles for the oracle acceleration layer. Lives here (not in the
-/// accelerated oracle's header) so SearchOptions can embed it and the
-/// ablation benches can switch each layer independently.
-struct OracleAccelOptions {
-  /// Reuse a typing-environment snapshot of the unedited declaration
-  /// prefix instead of re-inferring it on every call.
-  bool Checkpoint = true;
-
-  /// Memoize type-check verdicts keyed by the edited declaration's
-  /// interned id in the oracle's hash-consing arena (minicaml/Arena.h):
-  /// a probe is one integer lookup, with no stored clones.
-  bool VerdictCache = true;
-};
-
 /// Black-box type-check oracle over mini-Caml programs.
 class Oracle {
 public:

@@ -71,10 +71,6 @@ struct SearchOptions {
   /// much search it buys.
   size_t MaxOracleCalls = 200000;
 
-  /// Oracle acceleration toggles (forwarded to the oracle by runSeminal;
-  /// a Searcher driven with a hand-built oracle ignores them).
-  OracleAccelOptions Accel;
-
   EnumeratorOptions Enum;
 
   /// Compute the provenance error slice before searching: suggestions in

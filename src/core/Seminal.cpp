@@ -86,7 +86,7 @@ void seminal::fillRunReport(obs::RunReport &R, const SeminalReport &Report,
 
 SeminalReport seminal::runSeminal(const Program &Prog,
                                   const SeminalOptions &Opts) {
-  CheckpointedOracle TheOracle(Opts.Search.Accel);
+  CheckpointedOracle TheOracle;
   return runSeminalWithOracle(TheOracle, Prog, Opts);
 }
 

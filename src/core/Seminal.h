@@ -62,12 +62,12 @@ struct SeminalReport {
   std::vector<Suggestion> Suggestions;
 
   /// Number of oracle invocations the search performed (logical calls --
-  /// the paper-comparable search-effort metric, independent of the
-  /// acceleration configuration).
+  /// the paper-comparable search-effort metric, the same for the plain
+  /// CamlOracle reference).
   size_t OracleCalls = 0;
 
   /// Number of inference executions the oracle actually ran; acceleration
-  /// drives this below OracleCalls (equal when acceleration is off).
+  /// drives this below OracleCalls (equal for CamlOracle).
   size_t InferenceRuns = 0;
 
   /// Per-layer acceleration instrumentation for this run.
@@ -126,8 +126,7 @@ class CheckpointedOracle;
 /// and the AccelCounters (so SeminalReport::Accel describes this request
 /// only; accumulate across requests caller-side). Suggestions and
 /// verdicts are bit-identical to a one-shot runSeminal with the same
-/// options; Opts.Search.Accel is ignored here (the oracle was built with
-/// its own acceleration configuration).
+/// options.
 SeminalReport runSeminalWithOracle(CheckpointedOracle &TheOracle,
                                    const caml::Program &Prog,
                                    const SeminalOptions &Opts = {});

@@ -68,6 +68,11 @@ std::string server::renderValue(const json::Value &V) {
 
 Request server::parseRequest(const std::string &Line) {
   Request R;
+  if (Line.size() > MaxRequestBytes) {
+    R.Error = "malformed request: line longer than " +
+              std::to_string(MaxRequestBytes) + " bytes";
+    return R;
+  }
   json::ParseResult P = json::parse(Line);
   if (!P.ok()) {
     std::ostringstream OS;

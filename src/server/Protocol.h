@@ -31,6 +31,10 @@
 ///   ping     liveness probe
 ///   shutdown ask the daemon to exit after draining in-flight requests
 ///
+/// A line longer than MaxRequestBytes is answered with an error (id
+/// null, counted as malformed); the transports stop buffering it at the
+/// cap, drop the rest of it, and keep serving.
+///
 /// Responses always contain "id" (echoed; null when unparseable) and
 /// "ok". Adding response fields is allowed without a version bump, like
 /// RunReport's schema rule; consumers must ignore unknown members.
@@ -47,6 +51,9 @@
 
 namespace seminal {
 namespace server {
+
+/// The longest request line the daemon accepts, in bytes.
+constexpr size_t MaxRequestBytes = size_t(8) << 20;
 
 /// One parsed request line.
 struct Request {
@@ -84,7 +91,9 @@ struct Request {
 
 /// Parses one request line. Never throws; malformed input comes back as
 /// Method::Invalid with Error set (and Id echoing whatever id could be
-/// salvaged, so the client can still correlate the failure).
+/// salvaged, so the client can still correlate the failure). A line
+/// over MaxRequestBytes (the transports cut it just past the cap) is
+/// rejected unparsed.
 Request parseRequest(const std::string &Line);
 
 /// Renders \p V back to compact JSON text (for echoing request ids).

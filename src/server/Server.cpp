@@ -160,9 +160,6 @@ struct ConnWriter {
 ServerEngine::ServerEngine(const ServerOptions &Opts)
     : Opts(Opts), Slo(Opts.Slo) {
   Pool = std::make_unique<ThreadPool>(Opts.Threads);
-  // Sessions do the actual slow-request capture; hand them the ring.
-  this->Opts.Session.TraceSlowMs = Opts.TraceSlowMs;
-  this->Opts.Session.SlowTraces = Opts.SlowTraces;
 
   // Resolve every instrument once (naming conventions: DESIGN.md
   // section 14). Hot paths touch only these cached pointers.
@@ -606,6 +603,27 @@ std::string ServerEngine::profileJson(unsigned Seconds) {
   return OS.str();
 }
 
+namespace {
+
+/// std::getline bounded by the request cap: keeps at most
+/// MaxRequestBytes + 1 bytes of the line (enough for parseRequest to
+/// reject it) and consumes the rest up to the newline. \returns false at
+/// end of input with nothing read.
+bool readRequestLine(std::istream &In, std::string &Line) {
+  Line.clear();
+  std::streambuf *Buf = In.rdbuf();
+  const int Eof = std::char_traits<char>::eof();
+  int C = Buf->sbumpc();
+  if (C == Eof)
+    return false;
+  for (; C != Eof && C != '\n'; C = Buf->sbumpc())
+    if (Line.size() <= MaxRequestBytes)
+      Line.push_back(char(C));
+  return true;
+}
+
+} // namespace
+
 void server::serveStdio(ServerEngine &Engine, std::istream &In,
                         std::ostream &Out) {
   // One mutex serializes reply lines; responses from different sessions
@@ -619,8 +637,9 @@ void server::serveStdio(ServerEngine &Engine, std::istream &In,
     Out.flush();
   };
   std::string Line;
-  while (!Engine.shutdownRequested() && std::getline(In, Line)) {
-    if (!Line.empty() && Line.back() == '\r')
+  while (!Engine.shutdownRequested() && readRequestLine(In, Line)) {
+    // An over-cap line keeps its '\r' and so stays over the cap.
+    if (!Line.empty() && Line.back() == '\r' && Line.size() <= MaxRequestBytes)
       Line.pop_back();
     if (Line.empty())
       continue;
@@ -736,19 +755,32 @@ void UnixSocketServer::connectionLoop(int Fd) {
   auto Writer = std::make_shared<ConnWriter>(Fd);
   auto Reply = [Writer](const std::string &Line) { Writer->sendLine(Line); };
 
+  // Buf holds the unterminated tail of the stream, never much more than
+  // MaxRequestBytes: a line that outgrows the cap is answered at once
+  // (parseRequest rejects it by length) and the rest of it, up to the
+  // next newline, is read and dropped (SkipLine).
   std::string Buf;
   char Chunk[4096];
   bool SawShutdown = false;
+  bool SkipLine = false;
   while (!SawShutdown) {
     ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
     if (N <= 0)
       break;
+    // Only the new bytes can hold the first newline.
+    size_t From = Buf.size();
     Buf.append(Chunk, size_t(N));
     size_t Pos;
-    while ((Pos = Buf.find('\n')) != std::string::npos) {
+    while ((Pos = Buf.find('\n', From)) != std::string::npos) {
       std::string Line = Buf.substr(0, Pos);
       Buf.erase(0, Pos + 1);
-      if (!Line.empty() && Line.back() == '\r')
+      From = 0;
+      if (SkipLine) {
+        SkipLine = false;
+        continue;
+      }
+      if (!Line.empty() && Line.back() == '\r' &&
+          Line.size() <= MaxRequestBytes)
         Line.pop_back();
       if (!Line.empty())
         Engine.submit(Line, Reply);
@@ -757,6 +789,12 @@ void UnixSocketServer::connectionLoop(int Fd) {
         break;
       }
     }
+    if (!SawShutdown && !SkipLine && Buf.size() > MaxRequestBytes) {
+      Engine.submit(Buf, Reply);
+      SkipLine = true;
+    }
+    if (SkipLine)
+      Buf.clear();
   }
   // Let in-flight requests of this connection deliver their replies
   // before the fd goes away; other connections' work is drained too,

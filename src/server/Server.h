@@ -57,7 +57,8 @@ namespace server {
 struct ServerOptions {
   /// Worker (= shard) count; 0 picks hardware concurrency.
   unsigned Threads = 0;
-  /// Configuration applied to every session.
+  /// Configuration applied to every session, tail-sampled slow-request
+  /// tracing (TraceSlowMs, SlowTraces) included.
   SessionConfig Session;
 
   // Observability (DESIGN.md section 14); everything defaults to off
@@ -65,12 +66,6 @@ struct ServerOptions {
   /// Structured per-request log lines (not owned; must outlive the
   /// engine). Null = no logging.
   obs::Logger *Log = nullptr;
-  /// Tail-sampled slow-request tracing: requests slower than
-  /// TraceSlowMs milliseconds export their trace into this ring (not
-  /// owned). Negative threshold or null ring = off. Copied into the
-  /// SessionConfig handed to every session.
-  obs::SlowTraceRing *SlowTraces = nullptr;
-  double TraceSlowMs = -1.0;
   /// Latency SLO for the burn-rate gauges (DESIGN.md section 16): the
   /// objective is evaluated against the *warm* request-latency
   /// histogram (cold first-contact requests pay oracle warmup by

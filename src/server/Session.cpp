@@ -17,12 +17,6 @@ using namespace seminal::server;
 
 Session::Session(std::string Name, const SessionConfig &Config)
     : Name(std::move(Name)), Config(Config) {
-  // Session retention needs the checkpoint and the arena-keyed verdict
-  // cache; force both on regardless of what the caller left in Accel so a
-  // session is never silently cold. (Ablation experiments drive the
-  // oracle directly.)
-  this->Config.Accel.Checkpoint = true;
-  this->Config.Accel.VerdictCache = true;
   rebuildOracle();
 }
 
@@ -43,7 +37,7 @@ void Session::rebuildOracle() {
   } else {
     Arena = std::make_shared<caml::AstArena>();
   }
-  Oracle = std::make_unique<CheckpointedOracle>(Config.Accel, Arena);
+  Oracle = std::make_unique<CheckpointedOracle>(Arena);
   Oracle->setSessionRetention(true);
 }
 

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// A Session is the unit of warm-state reuse in the search daemon: one
-/// long-lived CheckpointedOracle in session-retention mode and its shared
+/// long-lived CheckpointedOracle (the shipped oracle configuration, as in
+/// a one-shot check) in session-retention mode and its shared
 /// hash-consing arena. Requests from the same editor hit the same
 /// Session, so an edit-resubmit re-adopts the previous request's prefix
 /// checkpoint and verdict cache instead of re-inferring from scratch
@@ -47,11 +48,6 @@ namespace server {
 
 /// Configuration shared by every session of one server.
 struct SessionConfig {
-  /// Oracle acceleration for the long-lived oracle (the session forces
-  /// both layers on). Server concurrency comes from sharding sessions
-  /// across workers; each oracle answers its calls serially.
-  OracleAccelOptions Accel;
-
   /// Baseline run options; per-request limits override copies of this.
   SeminalOptions Base;
 

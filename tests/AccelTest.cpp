@@ -1,13 +1,13 @@
 //===- AccelTest.cpp - Oracle acceleration equivalence tests ---------------==//
 //
-// The acceleration layer must be invisible: any combination of prefix
-// checkpointing and verdict caching has to reproduce the plain oracle's
-// searches bit for bit -- same suggestions in the same ranked order, same
-// logical-call totals -- while doing strictly less inference. These tests
-// pin that contract at three levels: the InferenceCheckpoint primitive
-// (rollback correctness), the CheckpointedOracle (cache accounting), and
-// whole runSeminal searches across every acceleration configuration,
-// each compared against the plain CamlOracle reference (ReferenceRun.h).
+// The acceleration layer must be invisible: prefix checkpointing plus
+// verdict caching has to reproduce the plain oracle's searches bit for
+// bit -- same suggestions in the same ranked order, same logical-call
+// totals -- while doing strictly less inference. These tests pin that
+// contract at three levels: the InferenceCheckpoint primitive (rollback
+// correctness), the CheckpointedOracle (cache accounting), and whole
+// runSeminal searches, each compared against the plain CamlOracle
+// reference (ReferenceRun.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -154,13 +154,6 @@ std::vector<Program> corpusPrograms() {
       Out.push_back(parse(F.Source));
   }
   return Out;
-}
-
-SeminalOptions withAccel(bool Checkpoint, bool VerdictCache) {
-  SeminalOptions Opts;
-  Opts.Search.Accel.Checkpoint = Checkpoint;
-  Opts.Search.Accel.VerdictCache = VerdictCache;
-  return Opts;
 }
 
 //===----------------------------------------------------------------------===//
@@ -723,38 +716,22 @@ TEST(CheckpointedOracleTest, VerdictsMatchPlainOracleEverywhere) {
 }
 
 //===----------------------------------------------------------------------===//
-// Whole-search equivalence across acceleration configurations
+// Whole-search equivalence: the shipped oracle against the plain reference
 //===----------------------------------------------------------------------===//
 
-struct AccelConfig {
-  const char *Name;
-  bool Checkpoint, VerdictCache;
-};
-
-const AccelConfig Configs[] = {
-    {"layers-off", false, false},
-    {"checkpoint-only", true, false},
-    {"cache-only", false, true},
-    {"checkpoint+cache", true, true},
-};
-
 TEST(AccelEquivalenceTest, AllConfigsReproduceTheUnacceleratedSearch) {
+  // CheckpointedOracle has one configuration (checkpoint + verdict cache);
+  // CamlOracle is the only unaccelerated path.
   for (const char *Src : ScenarioSources) {
     SeminalReport Base = plainReferenceOnSource(Src);
-    std::string BaseFp = fingerprint(Base);
     EXPECT_EQ(Base.InferenceRuns, Base.OracleCalls) << Src;
 
-    for (const AccelConfig &C : Configs) {
-      SeminalReport R =
-          runSeminalOnSource(Src, withAccel(C.Checkpoint, C.VerdictCache));
-      EXPECT_EQ(fingerprint(R), BaseFp) << C.Name << " on:\n" << Src;
-      EXPECT_EQ(R.OracleCalls, Base.OracleCalls)
-          << C.Name << " changed the logical-call count on:\n" << Src;
-      EXPECT_LE(R.InferenceRuns, R.OracleCalls) << C.Name;
-      if (C.VerdictCache || C.Checkpoint) {
-        EXPECT_LE(R.InferenceRuns, Base.InferenceRuns) << C.Name;
-      }
-    }
+    SeminalReport R = runSeminalOnSource(Src);
+    EXPECT_EQ(fingerprint(R), fingerprint(Base)) << "on:\n" << Src;
+    EXPECT_EQ(R.OracleCalls, Base.OracleCalls)
+        << "changed the logical-call count on:\n" << Src;
+    EXPECT_LE(R.InferenceRuns, R.OracleCalls) << Src;
+    EXPECT_LE(R.InferenceRuns, Base.InferenceRuns) << Src;
   }
 }
 

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -447,8 +448,8 @@ TEST(ServerStdioTest, HostileLinesAreAnsweredAndServingContinues) {
   // nesting at 64), one check whose source is 5 MB, one program 4,001
   // top-level declarations wide failing in its last, wrong-typed fields
   // (a numeric source and method, an array session, string and
-  // out-of-range numbers), then a ping: each gets its reply and the
-  // daemon keeps serving.
+  // out-of-range numbers), one ping padded past MaxRequestBytes, then a
+  // ping: each gets its reply and the daemon keeps serving.
   ServerEngine Engine;
   std::string Huge = std::string(BaseSource) + "(* " +
                      std::string(5u << 20, 'x') + " *)\n";
@@ -468,6 +469,8 @@ TEST(ServerStdioTest, HostileLinesAreAnsweredAndServingContinues) {
                       "{\"method\":7,\"id\":5}\n" + WrongTypes + "\n" +
                       "{\"method\":\"check\",\"id\":7,\"session\":[1],"
                       "\"source\":\"let y = 1 + true\"}\n" +
+                      "{\"method\":\"ping\",\"id\":9,\"pad\":\"" +
+                      std::string(MaxRequestBytes, 'y') + "\"}\n" +
                       "{\"method\":\"ping\",\"id\":8}\n";
   std::istringstream In(Input);
   std::ostringstream Out;
@@ -476,17 +479,27 @@ TEST(ServerStdioTest, HostileLinesAreAnsweredAndServingContinues) {
   std::istringstream Lines(Out.str());
   std::string Line;
   std::map<int64_t, json::Value> ById;
+  std::vector<std::string> NullIdErrors; // the deep and over-cap lines
   while (std::getline(Lines, Line)) {
     json::Value Reply = parseReply(Line);
-    int64_t Id = Reply.getInt("id", 1); // the deep line's id is null
-    ById.emplace(Id, std::move(Reply));
+    const json::Value *Id = Reply.member("id");
+    ASSERT_TRUE(Id) << Line;
+    if (Id->isNull()) {
+      EXPECT_FALSE(Reply.getBool("ok", true)) << Line;
+      NullIdErrors.push_back(Reply.getString("error"));
+      continue;
+    }
+    ById.emplace(Reply.getInt("id", 0), std::move(Reply));
   }
-  ASSERT_EQ(ById.size(), 8u) << "every line gets exactly one reply";
-  EXPECT_FALSE(ById[1].getBool("ok", true));
-  EXPECT_NE(ById[1].getString("error").find(
-                "malformed request: nesting too deep"),
+  ASSERT_EQ(ById.size(), 7u) << "every line gets exactly one reply";
+  ASSERT_EQ(NullIdErrors.size(), 2u) << "every line gets exactly one reply";
+  std::sort(NullIdErrors.begin(), NullIdErrors.end());
+  EXPECT_EQ(NullIdErrors[0], "malformed request: line longer than " +
+                                 std::to_string(MaxRequestBytes) + " bytes");
+  EXPECT_NE(NullIdErrors[1].find("malformed request: nesting too deep"),
             std::string::npos)
-      << ById[1].getString("error");
+      << NullIdErrors[1];
+  EXPECT_FALSE(ById.count(9)) << "the over-cap line must not be served";
   for (int64_t Id : {2, 3, 6, 7}) {
     EXPECT_TRUE(ById[Id].getBool("ok", false)) << Id;
     const json::Value *Suggestions = ById[Id].member("suggestions");
@@ -500,6 +513,8 @@ TEST(ServerStdioTest, HostileLinesAreAnsweredAndServingContinues) {
   for (int64_t Id : {4, 5})
     EXPECT_FALSE(ById[Id].getBool("ok", true)) << Id;
   EXPECT_TRUE(ById[8].getBool("pong", false));
+  // The deep, over-cap, numeric-source and numeric-method lines.
+  EXPECT_EQ(Engine.stats().Malformed, 4u);
 }
 
 class SocketClient {
@@ -596,6 +611,39 @@ TEST(ServerSocketTest, MidStreamDisconnectLeavesSessionIntact) {
 
   Socket.stop();
   EXPECT_EQ(Engine.stats().Checks, 2u);
+}
+
+TEST(ServerSocketTest, OverCapLineIsAnsweredAndServingContinues) {
+  std::string Path =
+      "/tmp/seminal_sockcap_" + std::to_string(::getpid()) + ".sock";
+  ServerEngine Engine;
+  UnixSocketServer Socket(Engine, Path);
+  std::string Error;
+  ASSERT_TRUE(Socket.start(Error)) << Error;
+
+  SocketClient C(Path);
+  ASSERT_TRUE(C.Connected);
+  // A ping padded several chunks past the cap: only its length makes it
+  // malformed, and the reader answers it without buffering all of it.
+  ASSERT_TRUE(C.send("{\"method\":\"ping\",\"id\":1,\"pad\":\"" +
+                     std::string(MaxRequestBytes + 3 * 4096, 'y') + "\"}"));
+  json::Value Rejected = parseReply(C.recvLine());
+  EXPECT_FALSE(Rejected.getBool("ok", true));
+  ASSERT_TRUE(Rejected.member("id"));
+  EXPECT_TRUE(Rejected.member("id")->isNull());
+  EXPECT_NE(Rejected.getString("error").find("line longer than"),
+            std::string::npos)
+      << Rejected.getString("error");
+
+  // The rest of the over-cap line was dropped; the next line is served.
+  ASSERT_TRUE(C.send("{\"method\":\"ping\",\"id\":2}"));
+  json::Value Pong = parseReply(C.recvLine());
+  EXPECT_EQ(Pong.getInt("id", 0), 2);
+  EXPECT_TRUE(Pong.getBool("pong", false));
+  C.close();
+  Socket.stop();
+  EXPECT_EQ(Engine.stats().Malformed, 1u);
+  EXPECT_EQ(Engine.stats().Pings, 1u);
 }
 
 TEST(ServerSocketTest, SecondDaemonOnSameSocketFailsCleanly) {
@@ -828,8 +876,8 @@ TEST(ServerObsTest, SlowRequestsExportBoundedTraces) {
 
   obs::SlowTraceRing Ring(Dir, 2);
   ServerOptions Opts;
-  Opts.SlowTraces = &Ring;
-  Opts.TraceSlowMs = 0.0; // Tail-sample everything: every check is "slow".
+  Opts.Session.SlowTraces = &Ring;
+  Opts.Session.TraceSlowMs = 0.0; // Tail-sample everything: all "slow".
   ServerEngine Engine(Opts);
 
   json::Value Reply = parseReply(Engine.handle(checkLine(7, "t", BaseSource)));
@@ -857,6 +905,27 @@ TEST(ServerObsTest, SlowRequestsExportBoundedTraces) {
   Engine.handle(checkLine(10, "t", BaseSource));
   EXPECT_EQ(Ring.captured(), 4u);
   EXPECT_EQ(Ring.size(), 2u);
+
+  (void)std::system(Cmd.c_str());
+}
+
+TEST(ServerObsTest, SessionSlowTraceSettingsReachEverySession) {
+  // The threshold and the ring live in SessionConfig only; an engine
+  // built with just those must capture (nothing resets them to off).
+  std::string Dir =
+      "/tmp/seminal_slowtrace_cfg_" + std::to_string(::getpid());
+  std::string Cmd = "rm -rf '" + Dir + "'";
+  (void)std::system(Cmd.c_str());
+
+  obs::SlowTraceRing Ring(Dir, 1);
+  ServerOptions Opts;
+  Opts.Session.TraceSlowMs = 0.0;
+  Opts.Session.SlowTraces = &Ring;
+  ServerEngine Engine(Opts);
+
+  json::Value Reply = parseReply(Engine.handle(checkLine(1, "s", BaseSource)));
+  EXPECT_FALSE(Reply.getString("slow_trace").empty());
+  EXPECT_EQ(Ring.captured(), 1u);
 
   (void)std::system(Cmd.c_str());
 }
