@@ -8,11 +8,11 @@
 //     inc, per Metrics::observe on a hot (histogram-backed) vs exact
 //     (vector-backed) series, per suppressed log event, and per
 //     registry scrape while records are flowing.
-//   * end-to-end warm p50: the bench_server warm edit-resubmit loop run
-//     through a ServerEngine under increasing observability configs --
-//     registry only (always on), + info logging, + tail tracing with a
-//     threshold nothing crosses, + capture-everything tracing, + the
-//     profiler off/at 99 Hz. The overhead_pct numbers compare each
+//   * end-to-end warm p50: the warm edit-resubmit loop over the editor
+//     program (tests/EditorProgram.h) run through a ServerEngine under
+//     increasing observability configs -- registry only (always on),
+//     + info logging, + tail tracing with a threshold nothing crosses,
+//     + capture-everything tracing, + the profiler off/at 99 Hz. The overhead_pct numbers compare each
 //     config's CPU per check against the registry-only baseline.
 //   * profiler pricing model: per-primitive micro-costs (hook pair off /
 //     on / CPU-stamped, sampler tick) times the measured spans-per-check
@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "EditorProgram.h"
 
 #include "obs/Log.h"
 #include "obs/OpsRegistry.h"
@@ -74,28 +75,6 @@ template <typename Fn> double nsPerOp(size_t Iters, Fn &&Body) {
   return Ms * 1e6 / double(Iters);
 }
 
-// Same synthetic editor program as bench_server (see its comment for
-// the cost-asymmetry rationale), so warm p50s are comparable across the
-// two benches.
-std::string makeProgram(size_t Decls, int TailValue) {
-  const size_t Depth = 4;
-  std::string Out;
-  size_t Emitted = 0;
-  for (size_t Chain = 0; Emitted + 3 < Decls; ++Chain) {
-    std::string C = "c" + std::to_string(Chain) + "_";
-    Out += "let " + C + "0 x = (x, x)\n";
-    ++Emitted;
-    for (size_t I = 1; I <= Depth && Emitted + 3 < Decls; ++I, ++Emitted) {
-      std::string N = std::to_string(I), P = std::to_string(I - 1);
-      Out += "let " + C + N + " x = " + C + P + " (" + C + P + " x)\n";
-    }
-  }
-  Out += "let helper n = n + 1\n";
-  Out += "let broken = helper true\n";
-  Out += "let tail = " + std::to_string(TailValue) + "\n";
-  return Out;
-}
-
 struct ConfigRow {
   std::string Name;
   double WarmP50Ms = 0.0;
@@ -119,7 +98,7 @@ ConfigRow measureConfig(const std::string &Name, size_t Decls,
   auto CheckLine = [&](int Tail) {
     std::string Line =
         "{\"method\":\"check\",\"id\":1,\"session\":\"w\",\"source\":\"";
-    Line += jsonEscape(makeProgram(Decls, Tail));
+    Line += jsonEscape(makeEditorProgram(Decls, Tail));
     Line += "\"}";
     return Line;
   };
@@ -343,7 +322,7 @@ int main(int Argc, char **Argv) {
     auto CheckLine = [&](int Tail) {
       std::string Line =
           "{\"method\":\"check\",\"id\":1,\"session\":\"w\",\"source\":\"";
-      Line += jsonEscape(makeProgram(Decls, Tail));
+      Line += jsonEscape(makeEditorProgram(Decls, Tail));
       Line += "\"}";
       return Line;
     };

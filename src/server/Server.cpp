@@ -38,11 +38,11 @@ std::string ServerStats::renderJsonMembers() const {
      << ",\"conv_memo_hits\":" << Warm.ConvMemoHits << "}";
   OS << ",\"cost\":{\"cpu_ns\":" << Cost.CpuNs
      << ",\"wall_ns\":" << Cost.WallNs
-     << ",\"oracle_calls\":" << Cost.OracleCalls
-     << ",\"inference_runs\":" << Cost.InferenceRuns
+     << ",\"oracle_calls\":" << OracleCalls
+     << ",\"inference_runs\":" << InferenceRuns
      << ",\"arena_nodes\":" << Cost.ArenaNodes
      << ",\"arena_bytes\":" << Cost.ArenaBytes
-     << ",\"verdict_cache_hits\":" << Cost.VerdictCacheHits << "}";
+     << ",\"verdict_cache_hits\":" << CacheHits << "}";
   OS << ",\"shards\":[";
   for (size_t I = 0; I < Shards.size(); ++I) {
     if (I)
@@ -206,12 +206,6 @@ ServerEngine::ServerEngine(const ServerOptions &Opts)
   Ops.CostWallUs = &Registry.counter(
       "seminal_cost_wall_us_total",
       "Ledger: request wall microseconds across checks");
-  Ops.CostOracleCalls = &Registry.counter(
-      "seminal_cost_oracle_calls_total",
-      "Ledger: logical oracle calls across checks");
-  Ops.CostInferenceRuns = &Registry.counter(
-      "seminal_cost_inference_runs_total",
-      "Ledger: inference runs across checks");
   Ops.CostVerdictHits = &Registry.counter(
       "seminal_cost_verdict_cache_hits_total",
       "Ledger: verdict-cache hits across checks");
@@ -326,8 +320,6 @@ void ServerEngine::finishCheck(const std::string &Id,
   Ops.InferenceRuns->inc(Out.InferenceRuns);
   Ops.CostCpuUs->inc(CpuUs);
   Ops.CostWallUs->inc(Out.wallNs() / 1000);
-  Ops.CostOracleCalls->inc(Out.OracleCalls);
-  Ops.CostInferenceRuns->inc(Out.InferenceRuns);
   Ops.CostVerdictHits->inc(Out.Accel.CacheHits);
   Ops.CacheMisses->inc(Out.Accel.CacheMisses);
   Ops.CostArenaNodes->set(int64_t(Out.Accel.ArenaNodes));
@@ -547,11 +539,8 @@ ServerStats ServerEngine::stats() const {
   Out.Warm.ConvMemoHits = Ops.WarmConvMemoHits->value();
   Out.Cost.CpuNs = Ops.CostCpuUs->value() * 1000;
   Out.Cost.WallNs = Ops.CostWallUs->value() * 1000;
-  Out.Cost.OracleCalls = Ops.CostOracleCalls->value();
-  Out.Cost.InferenceRuns = Ops.CostInferenceRuns->value();
   Out.Cost.ArenaNodes = uint64_t(Ops.CostArenaNodes->value());
   Out.Cost.ArenaBytes = uint64_t(Ops.CostArenaBytes->value());
-  Out.Cost.VerdictCacheHits = Ops.CostVerdictHits->value();
   Out.Shards.resize(Ops.Shards.size());
   for (size_t S = 0; S < Ops.Shards.size(); ++S) {
     Out.Shards[S].Requests = Ops.Shards[S].Requests->value();

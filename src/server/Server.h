@@ -101,16 +101,16 @@ struct ServerStats {
   } Warm;
 
   /// The cost-ledger totals ("cost"), field names as in the RunReport's
-  /// "cost" object. The times are the registry's microsecond counters
-  /// times 1000, so they have microsecond resolution.
+  /// "cost" object. Its oracle_calls, inference_runs and
+  /// verdict_cache_hits keys render OracleCalls, InferenceRuns and
+  /// CacheHits above, which count the same flows. The times are the
+  /// registry's microsecond counters times 1000, so they have
+  /// microsecond resolution.
   struct CostStats {
-    uint64_t CpuNs = 0;            ///< seminal_cost_cpu_us_total x 1000
-    uint64_t WallNs = 0;           ///< seminal_cost_wall_us_total x 1000
-    uint64_t OracleCalls = 0;      ///< seminal_cost_oracle_calls_total
-    uint64_t InferenceRuns = 0;    ///< seminal_cost_inference_runs_total
-    uint64_t ArenaNodes = 0;       ///< seminal_cost_arena_nodes
-    uint64_t ArenaBytes = 0;       ///< seminal_cost_arena_bytes
-    uint64_t VerdictCacheHits = 0; ///< seminal_cost_verdict_cache_hits_total
+    uint64_t CpuNs = 0;      ///< seminal_cost_cpu_us_total x 1000
+    uint64_t WallNs = 0;     ///< seminal_cost_wall_us_total x 1000
+    uint64_t ArenaNodes = 0; ///< seminal_cost_arena_nodes
+    uint64_t ArenaBytes = 0; ///< seminal_cost_arena_bytes
   } Cost;
 
   /// Per-shard breakdown (seminal_shard_*{shard="N"}).
@@ -211,8 +211,6 @@ private:
     // summed across checks; the arena pair are levels (gauges).
     obs::OpsCounter *CostCpuUs = nullptr;
     obs::OpsCounter *CostWallUs = nullptr;
-    obs::OpsCounter *CostOracleCalls = nullptr;
-    obs::OpsCounter *CostInferenceRuns = nullptr;
     obs::OpsCounter *CostVerdictHits = nullptr;
     obs::OpsGauge *CostArenaNodes = nullptr;
     obs::OpsGauge *CostArenaBytes = nullptr;
