@@ -19,8 +19,8 @@
 #include "BenchUtil.h"
 #include "core/Seminal.h"
 #include "corpus/Generator.h"
-#include "support/Metrics.h"
 #include "support/Stats.h"
+#include "support/Trace.h"
 
 #include <chrono>
 #include <cstdio>
@@ -65,6 +65,26 @@ void jsonCdf(std::ostream &OS, const char *Key, Samples &S) {
      << ", \"p95_ms\": " << S.percentile(0.95) * 1000.0
      << ", \"max_ms\": " << S.max() * 1000.0
      << ", \"mean_ms\": " << S.mean() * 1000.0 << "}";
+}
+
+/// {"name": {"count": n, "min": ..., "mean": ..., ...}, ...}.
+void jsonSeries(std::ostream &OS, TraceSeries &Series) {
+  OS << "{";
+  bool First = true;
+  for (auto &KV : Series) {
+    Samples &S = KV.second;
+    if (!First)
+      OS << ",";
+    First = false;
+    char Buf[224];
+    std::snprintf(Buf, sizeof(Buf),
+                  "\n  \"%s\": {\"count\": %zu, \"min\": %.6g, \"mean\": "
+                  "%.6g, \"p50\": %.6g, \"p95\": %.6g, \"max\": %.6g}",
+                  KV.first.c_str(), S.size(), S.min(), S.mean(),
+                  S.percentile(0.50), S.percentile(0.95), S.max());
+    OS << Buf;
+  }
+  OS << "\n}";
 }
 
 } // namespace
@@ -118,17 +138,23 @@ int main(int Argc, char **Argv) {
   std::printf("\nfull-tool acceleration counters:\n%s",
               FullCounters.render().c_str());
 
-  // Dedicated metrics pass: attaching a Metrics collector costs two clock
-  // reads per oracle call, so it runs outside the timed reps above. It
-  // surfaces the per-layer shape (oracle latency distribution, checkpoint
-  // reuse depth, candidates per node) behind the aggregate curves.
-  Metrics M;
+  // Dedicated metrics pass: the series are derived from a trace, which
+  // costs span records per oracle call, so it runs outside the timed reps
+  // above. It surfaces the per-layer shape (oracle latency distribution,
+  // checkpoint reuse depth, candidates per node) behind the aggregate
+  // curves. Each file's spans fold into the totals, then the sink is
+  // cleared so it never holds more than one file's trace.
+  TraceSink Sink;
+  TraceSeries Series;
   SeminalOptions Instrumented = Full;
-  Instrumented.Search.Metric = &M;
-  for (const CorpusFile &F : C.Analyzed)
+  Instrumented.Search.Trace = &Sink;
+  for (const CorpusFile &F : C.Analyzed) {
     runSeminalOnSource(F.Source, Instrumented);
+    addTraceSeries(Sink.snapshot(), Series);
+    Sink.clear();
+  }
   std::printf("\nfull-tool per-layer metrics (untimed pass):\n%s",
-              M.render().c_str());
+              renderTraceSeries(Series).c_str());
 
   if (!Opts.JsonPath.empty()) {
     std::ofstream OS(Opts.JsonPath);
@@ -148,7 +174,7 @@ int main(int Argc, char **Argv) {
        << ", \"full_inferences\": " << FullCounters.FullInferences
        << ", \"incremental_inferences\": "
        << FullCounters.IncrementalInferences << "},\n  \"metrics\": ";
-    M.writeJson(OS);
+    jsonSeries(OS, Series);
     OS << "\n}\n";
     std::printf("wrote %s\n", Opts.JsonPath.c_str());
   }

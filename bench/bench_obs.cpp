@@ -5,9 +5,8 @@
 // sections:
 //
 //   * instrument microcosts: ns per LogHistogram::record, per counter
-//     inc, per Metrics::observe on a hot (histogram-backed) vs exact
-//     (vector-backed) series, per suppressed log event, and per
-//     registry scrape while records are flowing.
+//     inc, per suppressed log event, and per registry scrape while
+//     records are flowing.
 //   * end-to-end warm p50: the warm edit-resubmit loop over the editor
 //     program (tests/EditorProgram.h) run through a ServerEngine under
 //     increasing observability configs -- registry only (always on),
@@ -29,7 +28,6 @@
 #include "obs/SlowTraceRing.h"
 #include "server/Server.h"
 #include "support/Histogram.h"
-#include "support/Metrics.h"
 #include "support/Profiler.h"
 #include "support/Trace.h" // jsonEscape
 
@@ -144,17 +142,6 @@ int main(int Argc, char **Argv) {
   obs::OpsCounter &Counter = Registry.counter("bench_total");
   double CounterNs = nsPerOp(MicroIters, [&](size_t) { Counter.inc(); });
 
-  Metrics M;
-  double HotObserveNs = nsPerOp(MicroIters, [&](size_t I) {
-    M.observe("bench.latency_us", double(I & 0xffff));
-  });
-  // The exact series keeps every sample; cap the iterations so the
-  // vector does not dominate the bench's own memory.
-  size_t ExactIters = std::min<size_t>(MicroIters, 1u << 20);
-  double ExactObserveNs = nsPerOp(ExactIters, [&](size_t I) {
-    M.observe("bench.samples", double(I & 0xffff));
-  });
-
   std::ostringstream Devnull;
   obs::Logger Quiet(Devnull, obs::LogLevel::Warn);
   double SuppressedLogNs = nsPerOp(MicroIters, [&](size_t I) {
@@ -178,10 +165,6 @@ int main(int Argc, char **Argv) {
 
   std::printf("%-34s %8.1f ns/op\n", "LogHistogram::record", RecordNs);
   std::printf("%-34s %8.1f ns/op\n", "OpsCounter::inc", CounterNs);
-  std::printf("%-34s %8.1f ns/op\n", "Metrics::observe (histogram-backed)",
-              HotObserveNs);
-  std::printf("%-34s %8.1f ns/op\n", "Metrics::observe (exact samples)",
-              ExactObserveNs);
   std::printf("%-34s %8.1f ns/op\n", "suppressed log event", SuppressedLogNs);
   std::printf("%-34s %8.1f us/scrape (%zu bytes)\n", "renderPrometheus",
               ScrapeUs, ScrapeBytes);
@@ -378,8 +361,6 @@ int main(int Argc, char **Argv) {
         << "  \"seed\": " << Opts.Seed << ",\n"
         << "  \"record_ns\": " << RecordNs << ",\n"
         << "  \"counter_inc_ns\": " << CounterNs << ",\n"
-        << "  \"observe_hot_ns\": " << HotObserveNs << ",\n"
-        << "  \"observe_exact_ns\": " << ExactObserveNs << ",\n"
         << "  \"suppressed_log_ns\": " << SuppressedLogNs << ",\n"
         << "  \"scrape_us\": " << ScrapeUs << ",\n"
         << "  \"scrape_bytes\": " << ScrapeBytes << ",\n"

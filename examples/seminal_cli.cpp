@@ -70,8 +70,9 @@ void usage(const char *Prog) {
                "                 page (search tree, oracle-call timeline,\n"
                "                 slice overlay, ranked suggestions); opens\n"
                "                 offline in any browser\n"
-               "  --metrics      print per-layer latency/shape histograms\n"
-               "                 (stderr)\n"
+               "  --metrics      print per-layer latency/shape series\n"
+               "                 (count, p50, p95, max, mean), derived\n"
+               "                 from the run's trace (stderr)\n"
                "  --slice        compute and print the provenance error\n"
                "                 slice (the program points that jointly\n"
                "                 cause the failure); also boosts in-slice\n"
@@ -486,15 +487,14 @@ int main(int Argc, char **Argv) {
 
   // Observability sinks outlive the run; they are attached by pointer and
   // exported after the report is in hand. Suggestions are byte-identical
-  // with and without them -- they only observe.
+  // with and without them -- they only observe. --metrics renders its
+  // series from the trace, so it records one too.
   TraceSink Sink;
-  Metrics Metric;
   obs::TelemetrySink Telemetry;
   bool WantReport = Json || !TelemetryPath.empty() || !ExplorePath.empty();
-  if (!TracePath.empty() || !ExplorePath.empty())
+  bool WantTrace = !TracePath.empty() || !ExplorePath.empty();
+  if (WantTrace || WantMetrics)
     Opts.Search.Trace = &Sink;
-  if (WantMetrics)
-    Opts.Search.Metric = &Metric;
   if (WantReport)
     Opts.Search.Telemetry = &Telemetry;
 
@@ -510,6 +510,10 @@ int main(int Argc, char **Argv) {
                            std::chrono::steady_clock::now() - WallStart)
                            .count();
   uint64_t CpuNs = prof::threadCpuNs() - CpuStart;
+  // A trace recorded only for --metrics stays out of the report, which
+  // then reads as it does without a trace.
+  if (!WantTrace)
+    Report.Trace.reset();
 
   if (!ProfilePath.empty()) {
     prof::ProfileSnapshot Snap = prof::profiler().snapshot();
@@ -635,9 +639,13 @@ int main(int Argc, char **Argv) {
 
   // Observability renderings are diagnostics, never results: stderr, so
   // they cannot interleave with --json output or piped messages.
-  if (!Quiet && Report.Trace && Opts.Search.Trace)
+  if (!Quiet && Report.Trace)
     std::fprintf(stderr, "%s", Report.Trace->render().c_str());
-  if (WantMetrics && !Metric.empty())
-    std::fprintf(stderr, "%s", Metric.render().c_str());
+  if (WantMetrics) {
+    TraceSeries Series;
+    addTraceSeries(Sink.snapshot(), Series);
+    if (!Series.empty())
+      std::fprintf(stderr, "%s", renderTraceSeries(Series).c_str());
+  }
   return Exit;
 }

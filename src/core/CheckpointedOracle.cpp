@@ -309,9 +309,6 @@ TypecheckResult CheckpointedOracle::infer(const Program &Prog, bool SeedMatch,
     ++Counters.IncrementalInferences;
     Counters.DeclInferencesSaved += Checkpoint->prefixLength();
     LastServedBy = "checkpoint-incremental";
-    if (MetricsOut)
-      MetricsOut->observe(metric::CheckpointReuseDepth,
-                          double(Checkpoint->prefixLength()));
     R = Checkpoint->checkDecl(*Prog.Decls[EditedIndex], Opts);
   } else {
     // While seeded this is a fallback: another program, or a prefix

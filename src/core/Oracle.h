@@ -29,7 +29,6 @@
 
 #include "minicaml/Ast.h"
 #include "minicaml/Infer.h"
-#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <cstddef>
@@ -43,20 +42,16 @@ class Oracle {
 public:
   virtual ~Oracle();
 
-  /// Attaches observability sinks (either may be null, neither is
-  /// owned). With both null -- the default -- every query takes the
-  /// untraced fast path: one pointer test of overhead.
-  void setInstrumentation(TraceSink *Trace, Metrics *M) {
-    TraceOut = Trace;
-    MetricsOut = M;
-  }
+  /// Attaches a trace sink (may be null, not owned). With none -- the
+  /// default -- every query takes the untraced fast path: one pointer
+  /// test of overhead.
+  void setInstrumentation(TraceSink *Trace) { TraceOut = Trace; }
   TraceSink *traceSink() const { return TraceOut; }
-  Metrics *metrics() const { return MetricsOut; }
 
   /// \returns true if \p Prog type-checks. Counts one logical call.
   bool typechecks(const caml::Program &Prog) {
     ++LogicalCalls;
-    if (!TraceOut && !MetricsOut)
+    if (!TraceOut)
       return typecheckImpl(Prog);
     return typechecksTraced(Prog);
   }
@@ -68,7 +63,7 @@ public:
   std::optional<std::string> typeOfNode(const caml::Program &Prog,
                                         const caml::Expr *Node) {
     ++LogicalCalls;
-    if (!TraceOut && !MetricsOut)
+    if (!TraceOut)
       return typeOfNodeImpl(Prog, Node);
     return typeOfNodeTraced(Prog, Node);
   }
@@ -135,7 +130,6 @@ protected:
   bool LastCacheHit = false;
 
   TraceSink *TraceOut = nullptr;
-  Metrics *MetricsOut = nullptr;
 
 private:
   bool typechecksTraced(const caml::Program &Prog);

@@ -106,7 +106,6 @@ bool Searcher::tryCandidates(const NodePath &Path,
       Node && Arena ? Arena->internExpr(*Node) : AstArena::InvalidId;
   const std::string PathStr = Opts.Telemetry ? Path.str() : std::string();
   bool Any = false;
-  size_t Tried = 0;
   // The worklist grows as probes expand into follow-ups.
   for (size_t I = 0; I < Cands.size() && !OutOfBudget; ++I) {
     CandidateChange &C = Cands[I];
@@ -125,7 +124,6 @@ bool Searcher::tryCandidates(const NodePath &Path,
     } else {
       TraceSpan Span(Opts.Trace, SpanKind::Candidate, "searcher.candidate");
       Ok = testWith(Path, C.Replacement);
-      ++Tried;
       if (Span.enabled()) {
         Span.attr("description", C.Description);
         Span.attr("probe", C.IsProbe);
@@ -146,8 +144,6 @@ bool Searcher::tryCandidates(const NodePath &Path,
         Cands.push_back(std::move(Next));
     }
   }
-  if (Opts.Metric && Tried)
-    Opts.Metric->observe(metric::CandidatesPerNode, double(Tried));
   return Any;
 }
 
@@ -334,8 +330,6 @@ bool Searcher::triageGeneric(const NodePath &Path) {
     note("triage", "probe", "focus child " + std::to_string(Focus),
          Opts.Telemetry ? Path.str() : std::string(), ContextWorks,
          /*Probe=*/true);
-    if (Opts.Metric && ContextWorks)
-      Opts.Metric->observe(metric::TriageRemovals, double(Removed.size()));
 
     if (ContextWorks) {
       // Put the focus back and search it, in regular mode, inside the
@@ -436,8 +430,6 @@ bool Searcher::triageMatch(const NodePath &Path) {
     note("triage", "probe", "focus match body " + std::to_string(Focus),
          Opts.Telemetry ? Path.str() : std::string(), ContextWorks,
          /*Probe=*/true);
-    if (Opts.Metric && ContextWorks)
-      Opts.Metric->observe(metric::TriageRemovals, double(Removed.size()));
     if (ContextWorks) {
       ExprPtr Hole = Node->swapChild(Focus, std::move(FocusOld));
       ++TriageDepth;
@@ -601,13 +593,6 @@ void Searcher::prepareSlice() {
   if (!S.Valid)
     return; // Unsliceable failure: search runs unguided.
 
-  if (Opts.Metric) {
-    Opts.Metric->observe(metric::SliceSize, double(S.Influence.size()));
-    if (S.DeclNodes)
-      Opts.Metric->observe(metric::SlicePruneRatio,
-                           1.0 - double(S.Influence.size()) /
-                                     double(S.DeclNodes));
-  }
   SliceResult = std::move(S);
   Guide = std::make_unique<analysis::SliceGuide>(Work, *SliceResult);
 }

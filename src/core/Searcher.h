@@ -90,13 +90,12 @@ struct SearchOptions {
   /// Tuning forwarded to analysis::computeErrorSlice.
   analysis::SliceOptions Slice;
 
-  /// Observability sinks (not owned; any may be null). runSeminal
-  /// forwards Trace/Metric to the oracle too; a hand-driven Searcher
+  /// Observability sinks (not owned; either may be null). runSeminal
+  /// forwards Trace to the oracle too; a hand-driven Searcher
   /// instruments only its own phases. Telemetry receives one
   /// CandidateOutcome per edit put to the oracle (obs/Telemetry.h) and
-  /// is observational only, like the other two.
+  /// is observational only, like the trace.
   TraceSink *Trace = nullptr;
-  Metrics *Metric = nullptr;
   obs::TelemetrySink *Telemetry = nullptr;
 };
 

@@ -100,7 +100,7 @@ SeminalReport seminal::runSeminalWithOracle(CheckpointedOracle &TheOracle,
   // report are per-request quantities.
   TheOracle.resetCallCount();
   TheOracle.resetCounters();
-  TheOracle.setInstrumentation(Opts.Search.Trace, Opts.Search.Metric);
+  TheOracle.setInstrumentation(Opts.Search.Trace);
   // One arena per run, shared by oracle and searcher: the oracle's
   // verdict-cache keys and the searcher's suggestion captures intern
   // into the same store.

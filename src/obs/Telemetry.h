@@ -14,8 +14,8 @@
 /// final rank. A RunReport aggregates the stream per run; a corpus sweep
 /// aggregates RunReports into the quality snapshot CI gates on.
 ///
-/// Like TraceSink and Metrics, a TelemetrySink is attached by pointer and
-/// null means disabled: every instrumentation site pays one branch.
+/// Like TraceSink, a TelemetrySink is attached by pointer and null means
+/// disabled: every instrumentation site pays one branch.
 /// Telemetry is observational only -- suggestions, call counts and
 /// ranking are byte-identical with the sink attached or not (enforced by
 /// tests/ObsTest.cpp).

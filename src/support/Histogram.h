@@ -6,10 +6,11 @@
 ///
 /// \file
 /// A fixed-size, HDR-style latency histogram for the server's live
-/// observability layer (DESIGN.md section 14). support/Metrics keeps
-/// every sample in a vector and sorts on query, which is fine for
-/// one-shot bench runs but wrong for a daemon: memory grows without
-/// bound and a scrape pays O(n log n) while requests are in flight.
+/// observability layer (DESIGN.md section 14). A sample vector sorted on
+/// query (Samples, support/Stats.h) is fine for one-shot data -- a bench
+/// run, or the series derived from a trace -- but wrong for a daemon:
+/// memory grows without bound and a scrape pays O(n log n) while
+/// requests are in flight.
 /// LogHistogram instead buckets values logarithmically into a fixed
 /// array of atomic counters:
 ///

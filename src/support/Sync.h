@@ -123,7 +123,6 @@ enum class LockRank : uint16_t {
   SlowTraceRing = 55, ///< obs/SlowTraceRing file ring (holds its lock
                       ///< while exporting through a TraceSink: must
                       ///< stay below Trace).
-  Metrics = 60,       ///< support/Metrics series registry.
   Profiler = 65,      ///< support/Profiler thread registry + aggregates
                       ///< (sampler thread holds it while folding; span
                       ///< hooks take it only on first-use registration).

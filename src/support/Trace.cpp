@@ -338,6 +338,81 @@ TraceSummary TraceSink::summarize() const {
   return S;
 }
 
+//===----------------------------------------------------------------------===//
+// Derived series
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const TraceAttr *findAttr(const TraceEvent &E, const char *Key) {
+  for (const TraceAttr &A : E.Attrs)
+    if (A.Key == Key)
+      return &A;
+  return nullptr;
+}
+
+} // namespace
+
+void seminal::addTraceSeries(const std::vector<TraceEvent> &Events,
+                             TraceSeries &Into) {
+  std::map<uint64_t, size_t> CandidatesByParent;
+  for (const TraceEvent &E : Events) {
+    switch (E.Kind) {
+    case SpanKind::OracleCall: {
+      Into["oracle.latency_us"].add(double(E.DurNs) / 1e3);
+      const TraceAttr *ServedBy = findAttr(E, "served_by");
+      const TraceAttr *Decls = findAttr(E, "decls");
+      if (ServedBy && ServedBy->Str == "checkpoint-incremental" && Decls)
+        Into["oracle.checkpoint_reuse_depth"].add(double(Decls->Int - 1));
+      break;
+    }
+    case SpanKind::Candidate:
+      ++CandidatesByParent[E.Parent];
+      break;
+    case SpanKind::TriagePhase: {
+      const TraceAttr *Works = findAttr(E, "context_works");
+      const TraceAttr *Removed = findAttr(E, "siblings_removed");
+      if (Works && Works->Flag && Removed)
+        Into["triage.sibling_removals"].add(double(Removed->Int));
+      break;
+    }
+    case SpanKind::Slice: {
+      // Only a valid slice carries its sizes.
+      const TraceAttr *Influence = findAttr(E, "influence");
+      const TraceAttr *DeclNodes = findAttr(E, "decl_nodes");
+      if (!Influence || !DeclNodes)
+        break;
+      Into["slice.size"].add(double(Influence->Int));
+      if (DeclNodes->Int > 0)
+        Into["slice.prune_ratio"].add(1.0 - double(Influence->Int) /
+                                                double(DeclNodes->Int));
+      break;
+    }
+    default:
+      break;
+    }
+  }
+  for (const auto &KV : CandidatesByParent)
+    Into["search.candidates_per_node"].add(double(KV.second));
+}
+
+std::string seminal::renderTraceSeries(TraceSeries &Series) {
+  std::ostringstream OS;
+  char Row[160];
+  std::snprintf(Row, sizeof(Row), "  %-32s %8s %10s %10s %10s %10s\n",
+                "metric", "count", "p50", "p95", "max", "mean");
+  OS << Row;
+  for (auto &KV : Series) {
+    Samples &S = KV.second;
+    std::snprintf(Row, sizeof(Row),
+                  "  %-32s %8zu %10.3f %10.3f %10.3f %10.3f\n",
+                  KV.first.c_str(), S.size(), S.percentile(0.50),
+                  S.percentile(0.95), S.max(), S.mean());
+    OS << Row;
+  }
+  return OS.str();
+}
+
 std::string TraceSummary::render() const {
   std::ostringstream OS;
   OS << "  spans: " << Spans << " (" << OracleCallSpans << " oracle calls, "

@@ -15,6 +15,10 @@
 ///     about:tracing and Perfetto;
 ///   * writeJsonl() -- one JSON object per event, for machine diffing.
 ///
+/// The search-shape series (oracle latency, checkpoint reuse depth,
+/// candidates per node, ...) are derived from the same stream by
+/// addTraceSeries(): the trace is their only store.
+///
 /// Design constraints (DESIGN.md section 8):
 ///
 ///   * Always compiled, near-zero overhead when disabled. Every
@@ -34,6 +38,7 @@
 #ifndef SEMINAL_SUPPORT_TRACE_H
 #define SEMINAL_SUPPORT_TRACE_H
 
+#include "support/Stats.h"
 #include "support/Sync.h"
 
 #include <chrono>
@@ -200,6 +205,25 @@ private:
   /// samples span stacks whether or not a trace is being recorded.
   uint32_t ProfToken = 0;
 };
+
+/// Named sample series derived from a recorded trace, in name order.
+using TraceSeries = std::map<std::string, Samples>;
+
+/// Appends the search-shape series of \p Events (a TraceSink::snapshot())
+/// to \p Into. A series gets a sample only from the spans it reads:
+///
+///   * oracle.latency_us -- each OracleCall span's duration;
+///   * oracle.checkpoint_reuse_depth -- decls - 1 of each OracleCall span
+///     served by "checkpoint-incremental" (the prefix it did not re-check);
+///   * search.candidates_per_node -- Candidate spans per parent span;
+///   * triage.sibling_removals -- siblings_removed of each TriagePhase
+///     span whose reduced context type-checks;
+///   * slice.size / slice.prune_ratio -- the valid Slice span's influence
+///     set size, and 1 - influence/decl_nodes.
+void addTraceSeries(const std::vector<TraceEvent> &Events, TraceSeries &Into);
+
+/// Count/p50/p95/max/mean table, one row per series.
+std::string renderTraceSeries(TraceSeries &Series);
 
 /// Scoped thread-local label naming which search layer is issuing
 /// oracle calls ("localize", "removal", "adaptation", "constructive",

@@ -526,7 +526,7 @@ TEST(CheckpointedOracleTest, ConventionalPassServesTheLocalizationWalk) {
     CamlOracle Ref;
     Program Work;
     TraceSink Sink;
-    O.setInstrumentation(&Sink, nullptr);
+    O.setInstrumentation(&Sink);
     O.beginPrefixWalk(Work, P);
     std::optional<unsigned> Failing;
     for (unsigned I = 0; I < P.Decls.size() && !Failing; ++I) {
@@ -551,7 +551,7 @@ TEST(CheckpointedOracleTest, ConventionalPassServesTheLocalizationWalk) {
           EXPECT_EQ(A.Str, "conv-pass") << Text;
         }
       }
-    O.setInstrumentation(nullptr, nullptr);
+    O.setInstrumentation(nullptr);
     // The slice-guided search pins the same declaration from the pass;
     // a program the pass did not check is inferred afresh.
     EXPECT_EQ(O.failingDecl(P), Truth.ErrorDeclIndex) << Text;

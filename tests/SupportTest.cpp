@@ -1,6 +1,5 @@
 //===- SupportTest.cpp - Tests for the support library --------------------==//
 
-#include "support/Metrics.h"
 #include "support/Rng.h"
 #include "support/SourceLoc.h"
 #include "support/Stats.h"
@@ -10,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
 #include <vector>
 
 using namespace seminal;
@@ -229,47 +227,6 @@ TEST(AccelCountersTest, ResetClearsEveryField) {
   // Reusable after reset.
   A += makeCounters(0);
   EXPECT_EQ(A.CacheHits, 1u);
-}
-
-TEST(MetricsTest, SummaryOfKnownSeries) {
-  Metrics M;
-  for (int I = 1; I <= 100; ++I)
-    M.observe("test.series", double(I));
-  MetricSummary S = M.summary("test.series");
-  EXPECT_EQ(S.Count, 100u);
-  EXPECT_DOUBLE_EQ(S.Min, 1.0);
-  EXPECT_DOUBLE_EQ(S.Max, 100.0);
-  EXPECT_NEAR(S.P50, 50.5, 1e-9);
-  EXPECT_NEAR(S.Mean, 50.5, 1e-9);
-  EXPECT_GT(S.P95, S.P50);
-}
-
-TEST(MetricsTest, NamesAreSortedAndEmptyWorks) {
-  Metrics M;
-  EXPECT_TRUE(M.empty());
-  EXPECT_EQ(M.summary("missing").Count, 0u);
-  M.observe("b.second", 2.0);
-  M.observe("a.first", 1.0);
-  auto Names = M.names();
-  ASSERT_EQ(Names.size(), 2u);
-  EXPECT_EQ(Names[0], "a.first");
-  EXPECT_EQ(Names[1], "b.second");
-  EXPECT_FALSE(M.empty());
-  M.clear();
-  EXPECT_TRUE(M.empty());
-}
-
-TEST(MetricsTest, WriteJsonIsWellFormed) {
-  Metrics M;
-  M.observe("x.y", 1.0);
-  M.observe("x.y", 3.0);
-  std::ostringstream OS;
-  M.writeJson(OS);
-  std::string J = OS.str();
-  EXPECT_NE(J.find("\"x.y\""), std::string::npos);
-  EXPECT_NE(J.find("\"count\""), std::string::npos);
-  EXPECT_EQ(J.front(), '{');
-  EXPECT_EQ(J.back(), '}');
 }
 
 //===----------------------------------------------------------------------===//

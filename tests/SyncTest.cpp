@@ -90,13 +90,13 @@ TEST_F(SyncTest, RelockableGuardKeepsBookkeeping) {
 }
 
 TEST_F(SyncDeathTest, InvertedAcquisitionAborts) {
-  // The deliberately inverted pair the ISSUE demands: holding rank 90,
-  // acquiring rank 60 is a potential deadlock cycle even though no
+  // A deliberately inverted pair: holding rank 90,
+  // acquiring rank 65 is a potential deadlock cycle even though no
   // second thread exists to realize it.
   Mutex Log(LockRank::Log, "test.log");
-  Mutex Metrics(LockRank::Metrics, "test.metrics");
+  Mutex Profiler(LockRank::Profiler, "test.profiler");
   MutexLock L(Log);
-  EXPECT_DEATH({ MutexLock Bad(Metrics); }, "rank not strictly increasing");
+  EXPECT_DEATH({ MutexLock Bad(Profiler); }, "rank not strictly increasing");
 }
 
 TEST_F(SyncDeathTest, ReportNamesBothLocks) {
@@ -126,7 +126,7 @@ TEST_F(SyncDeathTest, RecursiveAcquisitionAborts) {
 TEST_F(SyncDeathTest, SharedUpgradeAborts) {
   // Reader-held, then exclusive on the same mutex: the classic upgrade
   // self-deadlock (blocks forever waiting for its own reader).
-  SharedMutex M(LockRank::Metrics, "test.shared");
+  SharedMutex M(LockRank::Profiler, "test.shared");
   ReaderLock R(M);
   EXPECT_DEATH(M.lock(), "recursive acquisition");
 }
@@ -134,7 +134,7 @@ TEST_F(SyncDeathTest, SharedUpgradeAborts) {
 TEST_F(SyncDeathTest, SharedReacquisitionAborts) {
   // Even shared-after-shared on one mutex is flagged: with a writer
   // queued between the two reader acquisitions it deadlocks.
-  SharedMutex M(LockRank::Metrics, "test.shared");
+  SharedMutex M(LockRank::Profiler, "test.shared");
   ReaderLock R(M);
   EXPECT_DEATH(M.lock_shared(), "recursive acquisition");
 }
@@ -142,7 +142,7 @@ TEST_F(SyncDeathTest, SharedReacquisitionAborts) {
 TEST_F(SyncTest, SharedThenHigherExclusiveIsSilent) {
   // Reader/writer rules only forbid *same-mutex* upgrades; a reader may
   // still take higher-ranked locks.
-  SharedMutex Map(LockRank::Metrics, "test.map");
+  SharedMutex Map(LockRank::Profiler, "test.map");
   Mutex Log(LockRank::Log, "test.log");
   ReaderLock R(Map);
   MutexLock L(Log);
@@ -152,7 +152,7 @@ TEST_F(SyncTest, SharedThenHigherExclusiveIsSilent) {
 TEST_F(SyncDeathTest, WriterInversionAborts) {
   // Exclusive acquisitions of a SharedMutex obey the same rank rule.
   SharedMutex High(LockRank::Log, "test.shared.high");
-  SharedMutex Low(LockRank::Metrics, "test.shared.low");
+  SharedMutex Low(LockRank::Profiler, "test.shared.low");
   WriterLock W(High);
   EXPECT_DEATH({ WriterLock Bad(Low); }, "rank not strictly increasing");
 }
@@ -163,7 +163,7 @@ TEST_F(SyncTest, CondVarWaitReacquires) {
   // reads race-free) and in the checker's bookkeeping (the follow-up
   // higher-rank acquisition below is legal, a second wait-mutex
   // acquisition would abort).
-  Mutex M(LockRank::Metrics, "test.cv");
+  Mutex M(LockRank::Profiler, "test.cv");
   CondVar CV;
   bool Ready = false;
   std::thread Producer([&] {
@@ -184,7 +184,7 @@ TEST_F(SyncTest, CondVarWaitReacquires) {
 }
 
 TEST_F(SyncDeathTest, WaitMutexStillHeldAfterWait) {
-  Mutex M(LockRank::Metrics, "test.cv");
+  Mutex M(LockRank::Profiler, "test.cv");
   CondVar CV;
   bool Ready = false;
   std::thread Producer([&] {
@@ -218,7 +218,7 @@ TEST_F(SyncTest, RuntimeToggleDisablesChecking) {
 TEST_F(SyncTest, RanksAreIndependentPerThread) {
   // The held stack is thread-local: two threads may hold the same pair
   // in opposite *lifetimes* as long as neither nests them.
-  Mutex A(LockRank::Metrics, "test.a");
+  Mutex A(LockRank::Profiler, "test.a");
   Mutex B(LockRank::Log, "test.b");
   std::thread T([&] {
     MutexLock L(B);

@@ -2,8 +2,8 @@
 //
 // The trace subsystem's two contracts (DESIGN.md section 8):
 //
-//   1. Observational purity: attaching a TraceSink/Metrics changes
-//      nothing about the search -- suggestions, logical-call counts, and
+//   1. Observational purity: attaching a TraceSink changes nothing
+//      about the search -- suggestions, logical-call counts, and
 //      ranking are byte-identical with tracing on or off.
 //   2. Completeness: every logical oracle call is one OracleCall span
 //      carrying layer / verdict / cache_hit attributes.
@@ -65,11 +65,17 @@ const TraceAttr *findAttr(const TraceEvent &E, const char *Key) {
   return nullptr;
 }
 
-SeminalOptions tracedOptions(TraceSink *Sink, Metrics *M) {
+SeminalOptions tracedOptions(TraceSink *Sink) {
   SeminalOptions Opts;
   Opts.Search.Trace = Sink;
-  Opts.Search.Metric = M;
   return Opts;
+}
+
+/// The series addTraceSeries() derives from \p Sink's events.
+TraceSeries seriesOf(const TraceSink &Sink) {
+  TraceSeries Series;
+  addTraceSeries(Sink.snapshot(), Series);
+  return Series;
 }
 
 } // namespace
@@ -83,9 +89,7 @@ TEST(TracePurityTest, SuggestionsIdenticalWithTracingOnAndOff) {
     SeminalReport Plain = runSeminalOnSource(Source);
 
     TraceSink Sink;
-    Metrics M;
-    SeminalReport Traced =
-        runSeminalOnSource(Source, tracedOptions(&Sink, &M));
+    SeminalReport Traced = runSeminalOnSource(Source, tracedOptions(&Sink));
 
     EXPECT_EQ(suggestionDigest(Plain), suggestionDigest(Traced));
     EXPECT_EQ(Plain.OracleCalls, Traced.OracleCalls);
@@ -101,7 +105,7 @@ TEST(TracePurityTest, SuggestionsIdenticalWithTracingOnAndOff) {
 
 TEST(TraceCompletenessTest, OneOracleCallSpanPerLogicalCall) {
   TraceSink Sink;
-  SeminalReport R = runSeminalOnSource(Fig2, tracedOptions(&Sink, nullptr));
+  SeminalReport R = runSeminalOnSource(Fig2, tracedOptions(&Sink));
 
   uint64_t OracleSpans = 0;
   for (const TraceEvent &E : Sink.snapshot())
@@ -112,7 +116,7 @@ TEST(TraceCompletenessTest, OneOracleCallSpanPerLogicalCall) {
 
 TEST(TraceCompletenessTest, EveryOracleSpanCarriesLayerVerdictCacheHit) {
   TraceSink Sink;
-  runSeminalOnSource(TwoErrors, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(TwoErrors, tracedOptions(&Sink));
 
   size_t Checked = 0;
   for (const TraceEvent &E : Sink.snapshot()) {
@@ -140,7 +144,7 @@ TEST(TraceCompletenessTest, EveryOracleSpanCarriesLayerVerdictCacheHit) {
 
 TEST(TraceCompletenessTest, TriageRunEmitsTriageSpansAndLayers) {
   TraceSink Sink;
-  runSeminalOnSource(TwoErrors, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(TwoErrors, tracedOptions(&Sink));
   TraceSummary Sum = Sink.summarize();
   EXPECT_GT(Sum.SpansByKind["triage"], 0u);
   EXPECT_GT(Sum.SpansByKind["triage-phase"], 0u);
@@ -151,7 +155,7 @@ TEST(TraceCompletenessTest, TriageRunEmitsTriageSpansAndLayers) {
 
 TEST(TraceCompletenessTest, ReportSummaryMatchesEventStream) {
   TraceSink Sink;
-  SeminalReport R = runSeminalOnSource(Fig2, tracedOptions(&Sink, nullptr));
+  SeminalReport R = runSeminalOnSource(Fig2, tracedOptions(&Sink));
   ASSERT_TRUE(R.Trace.has_value());
   EXPECT_EQ(R.Trace->OracleCallSpans, R.OracleCalls);
   EXPECT_EQ(R.Trace->Spans, Sink.eventCount());
@@ -213,7 +217,7 @@ TEST(TraceSpanTest, ExplicitParentOverridesStack) {
 
 TEST(TraceSpanTest, ParentIdsResolveWithinStream) {
   TraceSink Sink;
-  runSeminalOnSource(TwoErrors, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(TwoErrors, tracedOptions(&Sink));
   auto Events = Sink.snapshot();
   std::set<uint64_t> Ids;
   for (const TraceEvent &E : Events)
@@ -233,7 +237,7 @@ TEST(TraceSpanTest, ParentIdsResolveWithinStream) {
 
 TEST(TraceSpanTest, SequenceNumbersAreStrictlyIncreasing) {
   TraceSink Sink;
-  runSeminalOnSource(Fig2, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(Fig2, tracedOptions(&Sink));
   auto Events = Sink.snapshot();
   for (size_t I = 1; I < Events.size(); ++I)
     EXPECT_LT(Events[I - 1].Seq, Events[I].Seq);
@@ -269,7 +273,7 @@ TEST(TraceSinkTest, ClearDropsEventsButKeepsIdsFresh) {
 
 TEST(TraceExportTest, ChromeTraceIsValidJsonWithExpectedShape) {
   TraceSink Sink;
-  runSeminalOnSource(Fig2, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(Fig2, tracedOptions(&Sink));
 
   std::ostringstream OS;
   Sink.writeChromeTrace(OS);
@@ -298,7 +302,7 @@ TEST(TraceExportTest, ChromeTraceEscapesAttributeStrings) {
 
 TEST(TraceExportTest, JsonlEveryLineIsValidJson) {
   TraceSink Sink;
-  runSeminalOnSource(TwoErrors, tracedOptions(&Sink, nullptr));
+  runSeminalOnSource(TwoErrors, tracedOptions(&Sink));
 
   std::ostringstream OS;
   Sink.writeJsonl(OS);
@@ -324,22 +328,43 @@ TEST(TraceExportTest, EmptySinkExportsAreValid) {
 }
 
 //===----------------------------------------------------------------------===//
-// Metrics integration
+// Series derived from the trace (seminal_cli --metrics)
 //===----------------------------------------------------------------------===//
 
 TEST(TraceMetricsTest, SearchPopulatesWellKnownSeries) {
-  Metrics M;
-  runSeminalOnSource(Fig2, tracedOptions(nullptr, &M));
-  EXPECT_GT(M.summary(metric::OracleLatencyUs).Count, 0u);
-  EXPECT_GT(M.summary(metric::CandidatesPerNode).Count, 0u);
-  MetricSummary Lat = M.summary(metric::OracleLatencyUs);
-  EXPECT_GE(Lat.P95, Lat.P50);
-  EXPECT_GE(Lat.Max, Lat.P95);
-  EXPECT_FALSE(M.render().empty());
+  TraceSink Sink;
+  runSeminalOnSource(Fig2, tracedOptions(&Sink));
+  TraceSeries Series = seriesOf(Sink);
+  Samples &Lat = Series["oracle.latency_us"];
+  EXPECT_GT(Lat.size(), 0u);
+  EXPECT_GT(Series["search.candidates_per_node"].size(), 0u);
+  EXPECT_GE(Lat.percentile(0.95), Lat.percentile(0.50));
+  EXPECT_GE(Lat.max(), Lat.percentile(0.95));
+  std::string Table = renderTraceSeries(Series);
+  EXPECT_NE(Table.find("oracle.latency_us"), std::string::npos) << Table;
 }
 
 TEST(TraceMetricsTest, TriageRunObservesRemovalCounts) {
-  Metrics M;
-  runSeminalOnSource(TwoErrors, tracedOptions(nullptr, &M));
-  EXPECT_GT(M.summary(metric::TriageRemovals).Count, 0u);
+  TraceSink Sink;
+  runSeminalOnSource(TwoErrors, tracedOptions(&Sink));
+  TraceSeries Series = seriesOf(Sink);
+  EXPECT_GT(Series["triage.sibling_removals"].size(), 0u);
+}
+
+TEST(TraceMetricsTest, SeriesAgreeExactlyWithTheOracleCounters) {
+  // The trace is the series' only store: one latency sample per logical
+  // call, and one reuse-depth sample per incremental inference whose
+  // depths sum to the prefix re-checks the checkpoint saved.
+  for (const char *Source : {Fig2, TwoErrors}) {
+    TraceSink Sink;
+    SeminalReport R = runSeminalOnSource(Source, tracedOptions(&Sink));
+    TraceSeries Series = seriesOf(Sink);
+    EXPECT_EQ(Series["oracle.latency_us"].size(), R.OracleCalls) << Source;
+    const Samples &Depth = Series["oracle.checkpoint_reuse_depth"];
+    EXPECT_EQ(Depth.size(), R.Accel.IncrementalInferences) << Source;
+    double DepthSum = 0;
+    for (double V : Depth.values())
+      DepthSum += V;
+    EXPECT_EQ(DepthSum, double(R.Accel.DeclInferencesSaved)) << Source;
+  }
 }
